@@ -60,6 +60,12 @@ pub const DOLLARS_QUANTUM: f64 = 1e-3;
 /// Default per-table entry capacity of [`ScenarioCache::paper_figure4`].
 pub const DEFAULT_CAPACITY: usize = 4096;
 
+/// Entry bound of the §3.1 optima table, whatever the per-table
+/// capacity. Each optimum keeps its whole search's provenance stream
+/// (~850 records, ~290 KB) for traced replay, so 4096 of them would
+/// pin ~1.1 GB; 256 matches the serve trace ring's default depth.
+pub const OPTIMA_CAPACITY: usize = 256;
+
 /// Quantizes one raw input coordinate onto its key lattice.
 fn quantize(x: f64, quantum: f64) -> i64 {
     let q = (x / quantum).round();
@@ -371,8 +377,9 @@ impl std::fmt::Debug for ScenarioCache {
 
 impl ScenarioCache {
     /// Builds a cache over the given models with the given per-table
-    /// LRU capacity (clamped to at least one entry). The models are
-    /// the eq.-4/5/7 implementations the cache memoizes.
+    /// LRU capacity (clamped to at least one entry; the optima table
+    /// is further bounded by [`OPTIMA_CAPACITY`]). The models are the
+    /// eq.-4/5/7 implementations the cache memoizes.
     #[must_use]
     pub fn new(
         model: TotalCostModel,
@@ -388,7 +395,7 @@ impl ScenarioCache {
                 points: Lru::new(capacity),
                 masks: Lru::new(capacity),
                 reports: Lru::new(capacity),
-                optima: Lru::new(capacity),
+                optima: Lru::new(capacity.min(OPTIMA_CAPACITY)),
                 hits: 0,
                 misses: 0,
             }),
@@ -876,6 +883,38 @@ mod tests {
             assert_eq!(cached.sd.to_bits(), direct.sd.to_bits());
             assert_eq!(cached.cost.amount().to_bits(), direct.cost.amount().to_bits());
         }
+    }
+
+    #[test]
+    fn optima_table_is_bounded_while_hot_keys_keep_hitting() {
+        const HOT: u64 = 64;
+        let cache = ScenarioCache::paper_figure4();
+        let optimum = |volume: u64| {
+            cache
+                .optimal_sd(
+                    um(0.18),
+                    TransistorCount::from_millions(10.0),
+                    WaferCount::new(volume).unwrap(),
+                    Yield::new(0.4).unwrap(),
+                    Dollars::new(200_000.0),
+                    110.0,
+                    1_500.0,
+                )
+                .unwrap()
+        };
+        let rounds = 2 * OPTIMA_CAPACITY as u64;
+        for i in 0..rounds {
+            // A hot key, then a never-seen one churning through.
+            optimum(1_000 + i % HOT);
+            optimum(1_000_000 + i);
+            assert!(cache.lock().optima.len() <= OPTIMA_CAPACITY, "round {i}");
+        }
+        assert_eq!(cache.lock().optima.len(), OPTIMA_CAPACITY);
+        // Only the first lap of hot keys missed; every later one hit.
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (rounds - HOT, rounds + HOT));
+        // The other tables keep the full per-table capacity.
+        assert_eq!(stats.capacity, DEFAULT_CAPACITY);
     }
 
     #[test]

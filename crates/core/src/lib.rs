@@ -53,8 +53,8 @@ mod tradeoff;
 pub use advisor::{advise_raw, DfmAdvisor, DfmReport, Recommendation};
 pub use cache::{
     BatchRequest, BatchResponse, BatchStats, CacheStats, CostQuery, ScenarioCache,
-    DEFAULT_CAPACITY, DOLLARS_QUANTUM, LAMBDA_QUANTUM_UM, SD_QUANTUM, TRANSISTOR_QUANTUM,
-    YIELD_QUANTUM,
+    DEFAULT_CAPACITY, DOLLARS_QUANTUM, LAMBDA_QUANTUM_UM, OPTIMA_CAPACITY, SD_QUANTUM,
+    TRANSISTOR_QUANTUM, YIELD_QUANTUM,
 };
 pub use generalized::{DesignPoint, GeneralizedCostModel, GeneralizedReport};
 pub use node_choice::{cheapest_node, node_sweep, NodeChoice};

@@ -36,14 +36,17 @@
 //! `GET /v1/metrics/raw` for the mergeable state `fleet_report` and a
 //! multi-`--attach` `trace_tail` federate across replicas.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicI32, Ordering};
 
+use nanocost_serve::server::shutdown_listener;
 use nanocost_serve::{Server, ServerConfig, ServerState, ServerStateConfig};
 
-static SHUTDOWN: AtomicBool = AtomicBool::new(false);
+/// The listening socket the signal handler shuts down (a duplicate
+/// owned by the `StopHandle` that `main` keeps alive).
+static LISTENER_FD: AtomicI32 = AtomicI32::new(-1);
 
 extern "C" fn on_signal(_signum: i32) {
-    SHUTDOWN.store(true, Ordering::SeqCst);
+    shutdown_listener(LISTENER_FD.load(Ordering::SeqCst));
 }
 
 extern "C" {
@@ -75,19 +78,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             other => return Err(format!("unknown argument: {other}").into()),
         }
     }
+    let state_cfg = ServerStateConfig::from_env()?;
+    let state = ServerState::with_config(state_cfg)?;
+    let server = Server::bind_with_state(config, state)?;
+    // The handlers go in only once there is a socket for them to shut.
+    let stop = server.stop_handle()?;
+    LISTENER_FD.store(stop.raw_fd(), Ordering::SeqCst);
     unsafe {
         signal(SIGTERM, on_signal);
         signal(SIGINT, on_signal);
     }
-    let state_cfg = ServerStateConfig::from_env()?;
-    let state = ServerState::with_config(state_cfg)?;
-    let server = Server::bind_with_state(config, state)?;
     // The "listening on" line is the readiness handshake scripts wait
     // for; flush so a pipe reader sees it immediately.
     println!("nanocost-serve listening on {}", server.local_addr()?);
     use std::io::Write as _;
     std::io::stdout().flush()?;
-    server.run(&SHUTDOWN)?;
+    server.run();
     let stats = server.state().cache().stats();
     println!(
         "nanocost-serve shut down cleanly; cache {} hits / {} misses",

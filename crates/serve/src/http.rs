@@ -7,9 +7,10 @@
 //! reassemble correctly, and every malformed input maps to a typed
 //! [`ParseError`] — never a panic. The property fuzz suite in
 //! `tests/http_fuzz.rs` drives arbitrary byte streams, split reads,
-//! oversized heads, and truncated bodies through [`read_request`].
+//! oversized heads, and truncated bodies through [`read_request`], and
+//! randomly split pipelined streams through [`read_next_request`].
 
-use std::io::Read;
+use std::io::{IoSlice, Read, Write as _};
 
 /// Upper bound on the request line plus header block, in bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -39,6 +40,18 @@ pub struct Request {
 }
 
 impl Request {
+    /// Whether the client lets the connection stay open after this
+    /// request: HTTP/1.1 without a `Connection: close` token. HTTP/1.0
+    /// always closes.
+    #[must_use]
+    pub fn keep_alive(&self) -> bool {
+        self.version == "HTTP/1.1"
+            && !self.headers.iter().any(|(n, v)| {
+                n.eq_ignore_ascii_case("connection")
+                    && v.split(',').any(|t| t.trim().eq_ignore_ascii_case("close"))
+            })
+    }
+
     /// First header value matching `name`, ASCII-case-insensitively.
     #[must_use]
     pub fn header(&self, name: &str) -> Option<&str> {
@@ -69,8 +82,8 @@ pub enum ParseError {
     BadContentLength,
     /// A `Transfer-Encoding` header was present; this server only
     /// supports `Content-Length`-delimited bodies, and silently
-    /// treating a chunked body as length 0 would desynchronize framing
-    /// if keep-alive were ever added.
+    /// treating a chunked body as length 0 would desynchronize the
+    /// framing of the next request on a kept-alive connection.
     UnsupportedTransferEncoding,
     /// The declared body exceeds [`MAX_BODY_BYTES`].
     BodyTooLarge,
@@ -113,34 +126,52 @@ impl std::fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// Reads one request from `stream`, reassembling split reads and
-/// enforcing every bound.
+/// enforcing every bound. Bytes past the request are discarded; a
+/// connection that serves several requests uses [`read_next_request`].
 ///
 /// # Errors
 ///
 /// Returns a [`ParseError`] describing the first violation; the caller
 /// maps it to a 400/408/413 response via [`ParseError::status`].
 pub fn read_request(stream: &mut impl Read) -> Result<Request, ParseError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(CHUNK);
+    read_next_request(stream, &mut Vec::with_capacity(CHUNK))
+}
+
+/// Reads the next request of a kept-alive connection. `carry` is the
+/// connection's buffer: bytes already received past the previous
+/// request (a pipelining client's next request) are parsed first, and
+/// on success whatever arrived past this request is left there for the
+/// next call. Every bound holds per request.
+///
+/// # Errors
+///
+/// As [`read_request`]. On error `carry` holds the bytes received of
+/// the failed request, so an empty `carry` means the stream ended or
+/// stalled before the request's first byte.
+pub fn read_next_request(
+    stream: &mut impl Read,
+    carry: &mut Vec<u8>,
+) -> Result<Request, ParseError> {
     let mut chunk = [0u8; CHUNK];
     // Phase 1: accumulate until the blank line ending the head.
     let head_end = loop {
-        if let Some(end) = find_head_end(&buf) {
+        if let Some(end) = find_head_end(carry) {
             break end;
         }
-        if buf.len() > MAX_HEAD_BYTES {
+        if carry.len() > MAX_HEAD_BYTES {
             return Err(ParseError::HeadTooLarge);
         }
         let n = stream.read(&mut chunk).map_err(|e| ParseError::Io(e.kind()))?;
         if n == 0 {
             return Err(ParseError::UnexpectedEof);
         }
-        buf.extend_from_slice(&chunk[..n]);
+        carry.extend_from_slice(&chunk[..n]);
     };
     if head_end.head_len > MAX_HEAD_BYTES {
         return Err(ParseError::HeadTooLarge);
     }
     let head =
-        std::str::from_utf8(&buf[..head_end.head_len]).map_err(|_| ParseError::BadHeader)?;
+        std::str::from_utf8(&carry[..head_end.head_len]).map_err(|_| ParseError::BadHeader)?;
     let mut lines = head.split('\n').map(|l| l.strip_suffix('\r').unwrap_or(l));
     let request_line = lines.next().ok_or(ParseError::BadRequestLine)?;
     let (method, path, version) = parse_request_line(request_line)?;
@@ -169,19 +200,21 @@ pub fn read_request(stream: &mut impl Read) -> Result<Request, ParseError> {
     if content_length > MAX_BODY_BYTES {
         return Err(ParseError::BodyTooLarge);
     }
-    // Phase 2: the body — whatever arrived past the head plus the rest.
-    let mut body: Vec<u8> = buf[head_end.body_start.min(buf.len())..].to_vec();
-    body.truncate(content_length);
-    while body.len() < content_length {
-        let want = (content_length - body.len()).min(CHUNK);
+    // Phase 2: the body — whatever arrived past the head plus the rest,
+    // never reading past its last byte.
+    let end = head_end.body_start + content_length;
+    while carry.len() < end {
+        let want = (end - carry.len()).min(CHUNK);
         let n = stream
             .read(&mut chunk[..want])
             .map_err(|e| ParseError::Io(e.kind()))?;
         if n == 0 {
             return Err(ParseError::UnexpectedEof);
         }
-        body.extend_from_slice(&chunk[..n]);
+        carry.extend_from_slice(&chunk[..n]);
     }
+    let body = carry[head_end.body_start..end].to_vec();
+    carry.drain(..end);
     Ok(Request {
         method,
         path,
@@ -263,7 +296,8 @@ fn content_length(headers: &[(String, String)]) -> Result<usize, ParseError> {
     Ok(out.unwrap_or(0))
 }
 
-/// One HTTP/1.1 response, always `Connection: close`.
+/// One HTTP/1.1 response; the writer chooses `Connection: keep-alive`
+/// or `Connection: close`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
     /// Status code.
@@ -326,21 +360,48 @@ impl Response {
         }
     }
 
-    /// Serializes status line, headers, and body to `w`.
+    /// Serializes status line, headers, and body to `w` with
+    /// `Connection: close`.
     ///
     /// # Errors
     ///
     /// Propagates the underlying write error.
     pub fn write_to(&self, w: &mut impl std::io::Write) -> std::io::Result<()> {
+        self.write_framed(w, false)
+    }
+
+    /// Serializes the response to `w` in one vectored write (head and
+    /// body together, one syscall on a socket), announcing whether the
+    /// connection stays open.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the underlying write error.
+    pub fn write_framed(
+        &self,
+        w: &mut impl std::io::Write,
+        keep_alive: bool,
+    ) -> std::io::Result<()> {
+        let mut head = Vec::with_capacity(128);
         write!(
-            w,
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+            head,
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
             self.status,
             self.reason(),
             self.content_type,
-            self.body.len()
+            self.body.len(),
+            if keep_alive { "keep-alive" } else { "close" },
         )?;
-        w.write_all(&self.body)?;
+        let mut parts = [IoSlice::new(&head), IoSlice::new(&self.body)];
+        let mut parts = &mut parts[..];
+        while !parts.is_empty() {
+            match w.write_vectored(parts) {
+                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut parts, n),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
         w.flush()
     }
 }
@@ -433,6 +494,105 @@ mod tests {
             .expect_err("chunked framing must be rejected");
         assert_eq!(err, ParseError::UnsupportedTransferEncoding);
         assert_eq!(err.status(), 501);
+    }
+
+    #[test]
+    fn keep_alive_follows_version_and_connection_tokens() {
+        let keeps = |raw: &[u8]| parse(raw).unwrap().keep_alive();
+        assert!(keeps(b"GET / HTTP/1.1\r\n\r\n"));
+        assert!(keeps(b"GET / HTTP/1.1\r\nConnection: keep-alive\r\n\r\n"));
+        assert!(!keeps(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n"));
+        assert!(!keeps(
+            b"GET / HTTP/1.1\r\nconnection: Upgrade, CLOSE\r\n\r\n"
+        ));
+        assert!(!keeps(b"GET / HTTP/1.0\r\n\r\n"));
+        assert!(!keeps(b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"));
+    }
+
+    #[test]
+    fn pipelined_bytes_carry_over_to_the_next_request() {
+        let mut stream = std::io::Cursor::new(
+            b"POST /a HTTP/1.1\r\nContent-Length: 2\r\n\r\nxyGET /b HTTP/1.1\r\n\r\n".to_vec(),
+        );
+        let mut carry = Vec::new();
+        let first = read_next_request(&mut stream, &mut carry).unwrap();
+        assert_eq!(
+            (first.path.as_str(), first.body.as_slice()),
+            ("/a", &b"xy"[..])
+        );
+        let second = read_next_request(&mut stream, &mut carry).unwrap();
+        assert_eq!(second.path, "/b");
+        assert!(carry.is_empty());
+        // The stream ended between requests: nothing of a third arrived.
+        assert_eq!(
+            read_next_request(&mut stream, &mut carry),
+            Err(ParseError::UnexpectedEof)
+        );
+        assert!(carry.is_empty());
+    }
+
+    /// Counts the write calls a response takes.
+    #[derive(Default)]
+    struct Writes {
+        calls: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl std::io::Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let mut n = 0;
+            for b in bufs {
+                self.bytes.extend_from_slice(b);
+                n += b.len();
+            }
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write_with_the_connection_choice() {
+        let response = Response::json(200, "{}".to_string());
+        for (keep_alive, token) in [(true, "keep-alive"), (false, "close")] {
+            let mut w = Writes::default();
+            response.write_framed(&mut w, keep_alive).unwrap();
+            assert_eq!(w.calls, 1);
+            let text = String::from_utf8(w.bytes).unwrap();
+            assert_eq!(
+                text,
+                format!(
+                    "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\nConnection: {token}\r\n\r\n{{}}"
+                )
+            );
+        }
+        let mut closed = Vec::new();
+        response.write_to(&mut closed).unwrap();
+        assert!(String::from_utf8_lossy(&closed).contains("Connection: close\r\n"));
+        for len in [0, 9, 10, 12_345] {
+            let mut out = Vec::new();
+            Response::error(503, "x").write_to(&mut out).unwrap();
+            assert!(out.starts_with(b"HTTP/1.1 503 Service Unavailable\r\n"));
+            let mut out = Vec::new();
+            Response::jsonl(200, "y".repeat(len))
+                .write_to(&mut out)
+                .unwrap();
+            let text = String::from_utf8(out).unwrap();
+            assert!(
+                text.contains(&format!("\r\nContent-Length: {len}\r\n")),
+                "{text}"
+            );
+            assert!(text.ends_with(&format!("\r\n\r\n{}", "y".repeat(len))));
+        }
     }
 
     #[test]

@@ -49,5 +49,5 @@ pub mod state;
 
 pub use api::handle;
 pub use http::{read_request, ParseError, Request, Response};
-pub use server::{Server, ServerConfig};
+pub use server::{Server, ServerConfig, StopHandle};
 pub use state::{render_access_record, ServerState, ServerStateConfig};

@@ -1,16 +1,20 @@
 //! The TCP accept loop and fixed-size worker pool.
 //!
-//! Everything is plain `std`: a non-blocking [`TcpListener`] polled
-//! against a shutdown flag, a *bounded* `mpsc::sync_channel` feeding a
-//! fixed pool of scoped worker threads, and per-connection read/write
-//! deadlines so a stalled peer can never wedge a worker (the
-//! bounded-read property the fuzz suite exercises end to end). A burst
-//! of slow clients cannot grow the queue or the open-fd count without
-//! bound either: connections arriving while the queue is full are shed
-//! with a best-effort 503 and closed.
+//! Everything is plain `std` and blocks instead of polling: the accept
+//! loop sits in a blocking `accept`, and a *bounded*
+//! `mpsc::sync_channel` feeds a fixed pool of scoped worker threads
+//! that block in `recv`. [`StopHandle::stop`] shuts the listening
+//! socket down, which wakes the blocked `accept` with an error; the
+//! accept loop then drops the channel's sender, and that drop is what
+//! wakes and ends each worker. Connections are HTTP/1.1 keep-alive,
+//! with per-connection read/write deadlines so a stalled peer can never
+//! wedge a worker (the bounded-read property the fuzz suite exercises
+//! end to end). A burst of slow clients cannot grow the queue or the
+//! open-fd count without bound either: connections arriving while the
+//! queue is full are shed with a best-effort 503 and closed.
 
-use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
@@ -28,7 +32,8 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker thread count (clamped to at least one).
     pub workers: usize,
-    /// Per-connection read/write deadline.
+    /// Per-connection read/write deadline; also how long a kept-alive
+    /// connection may sit idle between requests.
     pub io_timeout: Duration,
 }
 
@@ -42,14 +47,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// How long the accept loop sleeps when idle before re-checking the
-/// shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
-
-/// How long a worker blocks on the connection queue before re-checking
-/// the shutdown flag.
-const WORKER_POLL: Duration = Duration::from_millis(50);
-
 /// Per-worker depth of the bounded connection queue. With the default
 /// 2s deadline a full queue drains in a few seconds, so a deeper
 /// backlog would only hold file descriptors open for peers that will
@@ -60,12 +57,64 @@ const QUEUE_DEPTH_PER_WORKER: usize = 8;
 /// the accept loop must never block on a peer that refuses to read.
 const SHED_WRITE_TIMEOUT: Duration = Duration::from_millis(100);
 
+/// Pause after an `accept` error that is not a dropped handshake (fd
+/// exhaustion, kernel memory): the pending connection stays in the
+/// backlog, so retrying at once would spin the acceptor and starve the
+/// workers whose progress frees descriptors. An idle or healthy server
+/// never takes this path.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
+
 /// A bound server, ready to run.
 #[derive(Debug)]
 pub struct Server {
     listener: TcpListener,
     state: ServerState,
     config: ServerConfig,
+}
+
+/// Makes a running [`Server::run`] return. It holds a duplicate of the
+/// listening socket, so stopping can never touch an unrelated, reused
+/// descriptor.
+#[derive(Debug)]
+pub struct StopHandle {
+    listener: TcpListener,
+}
+
+impl StopHandle {
+    /// Shuts the listening socket down: a blocked `accept` wakes with
+    /// an error, and the accept loop ends. Idempotent; stopping before
+    /// `run` starts makes `run` return at once.
+    pub fn stop(&self) {
+        shutdown_listener(self.listener.as_raw_fd());
+    }
+
+    /// The descriptor [`shutdown_listener`] takes, for a signal handler
+    /// that cannot reach this handle. It stays valid while the handle
+    /// lives.
+    #[must_use]
+    pub fn raw_fd(&self) -> RawFd {
+        self.listener.as_raw_fd()
+    }
+}
+
+extern "C" {
+    #[link_name = "shutdown"]
+    fn sys_shutdown(fd: i32, how: i32) -> i32;
+}
+
+/// `SHUT_RD` from `<sys/socket.h>`.
+const SHUT_RD: i32 = 0;
+
+/// Shuts down the listening socket `fd` for reading, which wakes every
+/// thread blocked in `accept` on it. It is one `shutdown(2)` call and
+/// so async-signal-safe: a SIGTERM handler may call it. A descriptor
+/// that is not a socket only makes the call fail.
+pub fn shutdown_listener(fd: RawFd) {
+    // SAFETY: shutdown(2) takes plain integers and touches no memory
+    // of this process.
+    unsafe {
+        sys_shutdown(fd, SHUT_RD);
+    }
 }
 
 impl Server {
@@ -108,57 +157,84 @@ impl Server {
         &self.state
     }
 
-    /// Serves until `shutdown` becomes true: accepts connections on the
-    /// main thread and dispatches them to the worker pool through a
-    /// bounded queue. Connections arriving while the queue is full are
-    /// shed with a 503 rather than queued. Returns once every worker
-    /// has drained.
+    /// A handle that stops [`Server::run`] from any thread.
     ///
     /// # Errors
     ///
-    /// Propagates a listener configuration failure; per-connection I/O
-    /// errors are contained to their connection.
-    pub fn run(&self, shutdown: &AtomicBool) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
+    /// Propagates the failure to duplicate the listening socket.
+    pub fn stop_handle(&self) -> std::io::Result<StopHandle> {
+        Ok(StopHandle {
+            listener: self.listener.try_clone()?,
+        })
+    }
+
+    /// Serves until a [`StopHandle`] stops it: accepts connections on
+    /// the calling thread and dispatches them to the worker pool
+    /// through a bounded queue. Connections arriving while the queue is
+    /// full are shed with a 503 rather than queued, and per-connection
+    /// I/O errors are contained to their connection. Returns once every
+    /// worker has drained: once stopped, each kept-alive connection is
+    /// closed after its next response, and one sitting idle closes at
+    /// the I/O deadline.
+    pub fn run(&self) {
         let workers = self.config.workers.max(1);
         let stats = self.state.install_workers(workers);
         self.start_profiler();
         let (tx, rx) = mpsc::sync_channel::<TcpStream>(workers * QUEUE_DEPTH_PER_WORKER);
         let rx = Mutex::new(rx);
+        // Read once per response to choose `Connection: close`; never
+        // waited on.
+        let stopping = AtomicBool::new(false);
         std::thread::scope(|scope| {
             for stat in &stats {
-                scope.spawn(|| worker_loop(&self.state, &rx, shutdown, self.config.io_timeout, stat));
+                scope.spawn(|| {
+                    worker_loop(&self.state, &rx, self.config.io_timeout, &stopping, stat);
+                });
             }
-            while !shutdown.load(Ordering::Relaxed) {
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        self.state.note_conn_open();
-                        match tx.try_send(stream) {
-                            Ok(()) => self.state.note_queue_push(),
-                            // Queue saturated (slowloris burst or plain
-                            // overload): shed instead of queueing,
-                            // keeping backlog and open-fd count bounded.
-                            Err(mpsc::TrySendError::Full(stream)) => {
-                                reject_busy(&self.state, stream);
-                            }
-                            // Workers only exit on shutdown.
-                            Err(mpsc::TrySendError::Disconnected(stream)) => {
-                                drop(stream);
-                                self.state.note_conn_close();
-                                break;
-                            }
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => std::thread::sleep(ACCEPT_POLL),
-                }
-            }
+            self.accept_loop(&tx);
+            stopping.store(true, Ordering::Relaxed);
+            // The workers' shutdown signal.
             drop(tx);
         });
-        Ok(())
+    }
+
+    /// Accepts until the listener is shut down, queueing each
+    /// connection or shedding it when the queue is full.
+    fn accept_loop(&self, tx: &mpsc::SyncSender<TcpStream>) {
+        loop {
+            let stream = match self.listener.accept() {
+                Ok((stream, _peer)) => stream,
+                // A shut-down listener is no longer listening: stop.
+                Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => return,
+                // The peer gave up before we took it: take the next.
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionAborted => continue,
+                Err(_) => {
+                    std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+                    continue;
+                }
+            };
+            self.state.note_conn_open();
+            // Counted before the send so a worker's pop can never
+            // precede its push.
+            self.state.note_queue_push();
+            match tx.try_send(stream) {
+                Ok(()) => {}
+                // Queue saturated (slowloris burst or plain overload):
+                // shed instead of queueing, keeping backlog and open-fd
+                // count bounded.
+                Err(mpsc::TrySendError::Full(stream)) => {
+                    self.state.note_queue_pop();
+                    reject_busy(&self.state, stream);
+                }
+                // Workers only exit once the sender is dropped.
+                Err(mpsc::TrySendError::Disconnected(stream)) => {
+                    self.state.note_queue_pop();
+                    drop(stream);
+                    self.state.note_conn_close();
+                    return;
+                }
+            }
+        }
     }
 
     /// Starts the continuous stack profiler (when configured on) and
@@ -194,54 +270,88 @@ fn reject_busy(state: &ServerState, mut stream: TcpStream) {
     state.note_conn_close();
 }
 
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Serves queued connections until the accept loop drops the sender.
 fn worker_loop(
     state: &ServerState,
     rx: &Mutex<mpsc::Receiver<TcpStream>>,
-    shutdown: &AtomicBool,
     io_timeout: Duration,
+    stopping: &AtomicBool,
     stat: &WorkerStat,
 ) {
     loop {
         let wait_started = Instant::now();
-        let next = {
-            let guard = rx
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            guard.recv_timeout(WORKER_POLL)
+        let next = rx
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .recv();
+        stat.idle_ns
+            .fetch_add(nanos(wait_started.elapsed()), Ordering::Relaxed);
+        let Ok(stream) = next else {
+            return;
         };
-        let waited = u64::try_from(wait_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        stat.idle_ns.fetch_add(waited, Ordering::Relaxed);
-        match next {
-            Ok(stream) => {
-                state.note_queue_pop();
-                let busy_started = Instant::now();
-                handle_connection(state, stream, io_timeout);
-                let busy = u64::try_from(busy_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                stat.busy_ns.fetch_add(busy, Ordering::Relaxed);
-                stat.served.fetch_add(1, Ordering::Relaxed);
-                state.note_conn_close();
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if shutdown.load(Ordering::Relaxed) {
-                    return;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return,
-        }
+        state.note_queue_pop();
+        let started = Instant::now();
+        let idle = handle_connection(state, stream, io_timeout, stopping, stat);
+        let busy = started.elapsed().saturating_sub(idle);
+        stat.idle_ns.fetch_add(nanos(idle), Ordering::Relaxed);
+        stat.busy_ns.fetch_add(nanos(busy), Ordering::Relaxed);
+        state.note_conn_close();
     }
 }
 
-/// Serves one connection: parse, route, respond, close. Parse failures
-/// become their mapped 4xx response; a peer that stalls past the
-/// deadline gets a 408 (or a silent close if it stopped reading too).
-fn handle_connection(state: &ServerState, mut stream: TcpStream, io_timeout: Duration) {
+/// Serves one kept-alive connection: parse, route, respond, and repeat
+/// until the client asks to close (`Connection: close` or HTTP/1.0),
+/// a request fails or gets an error status, the connection sits idle
+/// past the deadline, another connection is waiting for a worker, or
+/// the server is `stopping`. Parse failures become their mapped 4xx
+/// response; a peer that stalls mid-request gets a 408 (or a silent
+/// close if it stopped reading too). A reused connection that ends or
+/// idles out before its next request's first byte closes silently.
+/// Each response counts as one `served` on `stat` as it is written.
+/// Returns the time spent waiting for requests after the first.
+fn handle_connection(
+    state: &ServerState,
+    mut stream: TcpStream,
+    io_timeout: Duration,
+    stopping: &AtomicBool,
+    stat: &WorkerStat,
+) -> Duration {
     let _ = stream.set_read_timeout(Some(io_timeout));
     let _ = stream.set_write_timeout(Some(io_timeout));
-    let response = match http::read_request(&mut stream) {
-        Ok(request) => api::handle(state, &request),
-        Err(e) => Response::error(e.status(), &e.to_string()),
-    };
-    let _ = response.write_to(&mut stream);
-    let _ = stream.flush();
+    let _ = stream.set_nodelay(true);
+    let mut carry = Vec::new();
+    let mut idle = Duration::ZERO;
+    let mut reused = false;
+    loop {
+        let read_started = Instant::now();
+        let read = http::read_next_request(&mut stream, &mut carry);
+        if reused {
+            idle += read_started.elapsed();
+        }
+        let (response, keep_alive) = match read {
+            Ok(request) => {
+                let response = api::handle(state, &request);
+                let keep_alive = request.keep_alive()
+                    && response.status < 400
+                    && !state.has_queued_connections()
+                    && !stopping.load(Ordering::Relaxed);
+                (response, keep_alive)
+            }
+            // No byte of a next request arrived: EOF or idle deadline.
+            Err(_) if reused && carry.is_empty() => break,
+            Err(e) => (Response::error(e.status(), &e.to_string()), false),
+        };
+        let written = response.write_framed(&mut stream, keep_alive);
+        stat.served.fetch_add(1, Ordering::Relaxed);
+        if written.is_err() || !keep_alive {
+            break;
+        }
+        reused = true;
+    }
     let _ = stream.shutdown(std::net::Shutdown::Both);
+    idle
 }

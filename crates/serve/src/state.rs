@@ -273,16 +273,18 @@ impl ProfileRing {
     }
 }
 
-/// Cumulative busy/idle wall-clock and served-connection counts for one
+/// Cumulative busy/idle wall-clock and served-request counts for one
 /// worker thread; the worker owns an `Arc` and adds as it goes, the
 /// metrics endpoint reads whatever is current.
 #[derive(Debug, Default)]
 pub struct WorkerStat {
-    /// Nanoseconds spent handling connections.
+    /// Nanoseconds spent handling requests.
     pub busy_ns: AtomicU64,
-    /// Nanoseconds spent waiting on the connection queue.
+    /// Nanoseconds spent waiting on the connection queue or for a
+    /// kept-alive connection's next request.
     pub idle_ns: AtomicU64,
-    /// Connections handled to completion.
+    /// Responses written (one per request; a kept-alive connection
+    /// carries many).
     pub served: AtomicU64,
 }
 
@@ -479,6 +481,12 @@ impl ServerState {
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(v.saturating_sub(1)))
             .unwrap_or(0);
         gauge!("serve.queue.depth", prev.saturating_sub(1) as f64);
+    }
+
+    /// Whether any accepted connection is waiting for a worker.
+    #[must_use]
+    pub(crate) fn has_queued_connections(&self) -> bool {
+        self.queue_depth.load(Ordering::Relaxed) > 0
     }
 
     /// One connection was accepted (queued, in flight, or about to be

@@ -8,11 +8,10 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use nanocost_numeric::Rng64;
-use nanocost_serve::http::{MAX_BODY_BYTES, MAX_HEAD_BYTES};
+use nanocost_serve::http::{read_next_request, MAX_BODY_BYTES, MAX_HEAD_BYTES};
 use nanocost_serve::{read_request, ParseError, Request, Server, ServerConfig};
 
 /// A reader that hands out a byte stream in caller-chosen slice sizes,
@@ -91,6 +90,93 @@ fn random_segmentation_never_changes_the_parse() {
         let split = parse_chunked(VALID, &mut rng).expect("segmentation must not matter");
         assert_eq!(split, whole);
     }
+}
+
+/// A random well-formed request: method, path, extra headers and a
+/// body of random length.
+fn random_request(rng: &mut Rng64) -> Vec<u8> {
+    let method = ["GET", "POST", "PUT"][rng.random_range(0..3usize)];
+    let mut raw = format!(
+        "{method} /v1/p{} HTTP/1.1\r\nHost: fuzz\r\n",
+        rng.next_u64()
+    );
+    for h in 0..rng.random_range(0..4usize) {
+        raw.push_str(&format!("X-H{h}: {}\r\n", rng.next_u64()));
+    }
+    let body: Vec<u8> = (0..rng.random_range(0..300usize))
+        .map(|_| rng.next_u64() as u8)
+        .collect();
+    if !body.is_empty() || rng.random_range(0..2u32) == 0 {
+        raw.push_str(&format!("Content-Length: {}\r\n", body.len()));
+    }
+    raw.push_str("\r\n");
+    let mut raw = raw.into_bytes();
+    raw.extend_from_slice(&body);
+    raw
+}
+
+#[test]
+fn pipelined_requests_split_at_random_parse_one_by_one() {
+    let mut rng = Rng64::seed_from_u64(0x5eed_0005);
+    for _ in 0..200 {
+        let requests: Vec<Vec<u8>> = (0..rng.random_range(1..8usize))
+            .map(|_| random_request(&mut rng))
+            .collect();
+        let expected: Vec<Request> = requests
+            .iter()
+            .map(|r| parse_whole(r).expect("a generated request parses"))
+            .collect();
+        let chunks: Vec<usize> = (0..8).map(|_| rng.random_range(1..700usize)).collect();
+        let mut stream = ChunkedReader::new(requests.concat(), chunks);
+        let mut carry = Vec::new();
+        for want in &expected {
+            let got = read_next_request(&mut stream, &mut carry).expect("pipelined parse");
+            assert_eq!(&got, want);
+        }
+        // Exactly N requests: the stream then ends before a next byte.
+        assert_eq!(
+            read_next_request(&mut stream, &mut carry),
+            Err(ParseError::UnexpectedEof)
+        );
+        assert!(carry.is_empty());
+    }
+}
+
+#[test]
+fn bounds_hold_per_request_on_a_reused_connection() {
+    // A valid request, then one whose head never ends: the second is
+    // cut off at the head bound even though the first's bytes were
+    // read through the same buffer.
+    let mut data = VALID.to_vec();
+    data.extend_from_slice(b"GET / HTTP/1.1\r\n");
+    while data.len() <= VALID.len() + MAX_HEAD_BYTES + 4096 {
+        data.extend_from_slice(b"X-Padding: yyyyyyyyyyyyyyyyyyyyyyyyyyyy\r\n");
+    }
+    let mut stream = std::io::Cursor::new(data);
+    let mut carry = Vec::new();
+    assert!(read_next_request(&mut stream, &mut carry).is_ok());
+    assert_eq!(
+        read_next_request(&mut stream, &mut carry),
+        Err(ParseError::HeadTooLarge)
+    );
+    assert!(carry.len() <= MAX_HEAD_BYTES + 2 * 2048, "{}", carry.len());
+
+    // And an oversized declared body after a valid request.
+    let mut data = VALID.to_vec();
+    data.extend_from_slice(
+        format!(
+            "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY_BYTES + 1
+        )
+        .as_bytes(),
+    );
+    let mut stream = std::io::Cursor::new(data);
+    let mut carry = Vec::new();
+    assert!(read_next_request(&mut stream, &mut carry).is_ok());
+    assert_eq!(
+        read_next_request(&mut stream, &mut carry),
+        Err(ParseError::BodyTooLarge)
+    );
 }
 
 #[test]
@@ -172,12 +258,12 @@ fn with_server(io_timeout: Duration, f: impl FnOnce(std::net::SocketAddr)) {
     })
     .expect("bind");
     let addr = server.local_addr().expect("local addr");
-    let shutdown = AtomicBool::new(false);
+    let stop = server.stop_handle().expect("stop handle");
     std::thread::scope(|scope| {
-        let handle = scope.spawn(|| server.run(&shutdown));
+        let handle = scope.spawn(|| server.run());
         f(addr);
-        shutdown.store(true, Ordering::SeqCst);
-        handle.join().expect("server thread").expect("server run");
+        stop.stop();
+        handle.join().expect("server thread");
     });
 }
 

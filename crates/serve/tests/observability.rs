@@ -5,7 +5,6 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use nanocost_sentinel::json;
@@ -27,12 +26,12 @@ fn with_server_state(state: ServerState, f: impl FnOnce(std::net::SocketAddr)) {
     )
     .expect("bind");
     let addr = server.local_addr().expect("local addr");
-    let shutdown = AtomicBool::new(false);
+    let stop = server.stop_handle().expect("stop handle");
     std::thread::scope(|scope| {
-        let handle = scope.spawn(|| server.run(&shutdown));
+        let handle = scope.spawn(|| server.run());
         f(addr);
-        shutdown.store(true, Ordering::SeqCst);
-        handle.join().expect("server thread").expect("server run");
+        stop.stop();
+        handle.join().expect("server thread");
     });
 }
 
@@ -231,4 +230,40 @@ fn trace_ring_capacity_and_eviction_counter_are_live() {
             "{metrics}"
         );
     });
+}
+
+#[test]
+fn worker_served_counts_requests_not_connections() {
+    // Asserted after the server stops: a panic inside the closure would
+    // leave the server running and hang the test.
+    let mut raw = String::new();
+    with_server_state(ServerState::new(), |addr| {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        // Two kept-alive cost requests, then the raw metrics on the same
+        // connection: both earlier responses are counted by then.
+        let cost = format!(
+            "POST /v1/cost HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{COST_BODY}",
+            COST_BODY.len()
+        );
+        write!(
+            stream,
+            "{cost}{cost}GET /v1/metrics/raw HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+        )
+        .expect("write");
+        let _ = stream.read_to_string(&mut raw);
+    });
+    assert_eq!(raw.matches("HTTP/1.1 200 OK").count(), 3, "{raw}");
+    let metrics = raw.rsplit_once("\r\n\r\n").map(|(_, b)| b).unwrap_or_default();
+    let doc = json::parse(metrics).expect("raw metrics is JSON");
+    let served: u64 = doc
+        .get("workers")
+        .and_then(json::JsonValue::as_arr)
+        .expect("workers array")
+        .iter()
+        .filter_map(|w| w.get("served").and_then(json::JsonValue::as_u64))
+        .sum();
+    assert_eq!(served, 2, "{metrics}");
 }

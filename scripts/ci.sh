@@ -137,10 +137,13 @@ echo "==> serve soak gate: elevated concurrency + SLO criteria + exemplar round-
 # A heavier burst against the same server: sheds are tolerated (bounded
 # queue doing its job) but the shed rate, the client-observed p99, and
 # the server's own /v1/health verdict must all hold, and every
-# endpoint's p99 exemplar must round-trip to a fetchable trace.
+# endpoint's p99 exemplar must round-trip to a fetchable trace. 16
+# clients cannot fill 4 workers + 32 queue slots, so a shed here is a
+# defect; the p99 bound is ~3x the worst of 10 runs on a 2-vCPU box
+# (14-34 ms, against the 1 s it replaced).
 ./target/release/loadgen --addr "$SERVE_ADDR" --requests 400 \
     --mix cost,optimum,batch,yield --concurrency 16 \
-    --allow-shed --max-shed-rate 0.5 --slo-p99-us 1000000 \
+    --allow-shed --max-shed-rate 0.01 --slo-p99-us 100000 \
     --health-out target/ci-serve-health.json \
     --exemplar-traces target/ci-serve-exemplar
 # Every fetched exemplar trace must be a trace_check-clean capture with
