@@ -221,6 +221,110 @@ fn fixture_records() -> Vec<Record> {
                 t_ns: 30_500,
             },
         },
+        // Edge cases every renderer must keep byte-stable: strings that
+        // need JSON escaping (quote, backslash, newline, tab, a raw
+        // control character, non-ASCII text) in names, fields, replica
+        // labels and stack frames, and floats at the edges of `f64`
+        // (non-finite values render as JSON `null`).
+        Record {
+            ts_micros: 40,
+            thread: 4,
+            req_id: Some("r\"10\"".into()),
+            replica: Some("east\\1".into()),
+            kind: RecordKind::SpanEnter {
+                span: 5,
+                parent: Some(4),
+                name: "serve.\"quoted\"",
+                fields: vec![
+                    f("note", Value::Str("line1\nline2\ttab \\ back \"q\" \u{1} \r".into())),
+                    f("node", Value::Str("0.13\u{b5}m \u{2014} \u{dc}ber \u{2713}".into())),
+                    f("delta", Value::I64(-42)),
+                    f("ok", Value::Bool(false)),
+                ],
+            },
+        },
+        Record {
+            ts_micros: 41,
+            thread: 4,
+            req_id: Some("r\"10\"".into()),
+            replica: Some("east\\1".into()),
+            kind: RecordKind::Provenance {
+                span: None,
+                equation: Equation::Eq4,
+                function: "nanocost_core::total::transistor_cost",
+                inputs: vec![
+                    f("nan", Value::F64(f64::NAN)),
+                    f("inf", Value::F64(f64::INFINITY)),
+                    f("neg_inf", Value::F64(f64::NEG_INFINITY)),
+                    f("neg_zero", Value::F64(-0.0)),
+                ],
+                outputs: vec![f("tiny", Value::F64(1e-300)), f("huge", Value::F64(1e300))],
+            },
+        },
+        Record {
+            ts_micros: 42,
+            thread: 4,
+            req_id: None,
+            replica: Some("east\\1".into()),
+            kind: RecordKind::Event {
+                span: None,
+                name: "tab\tname",
+                fields: vec![f("\u{1}ctl", Value::F64(-0.0))],
+            },
+        },
+        Record {
+            ts_micros: 43,
+            thread: 4,
+            req_id: Some("r\"10\"".into()),
+            replica: Some("east\\1".into()),
+            kind: RecordKind::Sample {
+                name: "gauge.\u{e9}",
+                metric_kind: "gauge",
+                t_ns: 43_999,
+                value: f64::NAN,
+            },
+        },
+        Record {
+            ts_micros: 43,
+            thread: 4,
+            req_id: None,
+            replica: None,
+            kind: RecordKind::Sample {
+                name: "gauge.inf",
+                metric_kind: "gauge",
+                t_ns: 44_000,
+                value: f64::NEG_INFINITY,
+            },
+        },
+        Record {
+            ts_micros: 44,
+            thread: 4,
+            req_id: Some("r\"10\"".into()),
+            replica: Some("east\\1".into()),
+            kind: RecordKind::StackSample {
+                frames: vec!["serve.\"quoted\"", "new\nline", "\u{3bc}\u{2202}"],
+                depth: 3,
+                t_ns: 44_500,
+            },
+        },
+        Record {
+            ts_micros: 45,
+            thread: 4,
+            req_id: None,
+            replica: None,
+            kind: RecordKind::StackSample { frames: vec![], depth: 0, t_ns: 45_000 },
+        },
+        Record {
+            ts_micros: 46,
+            thread: 4,
+            req_id: Some("r\"10\"".into()),
+            replica: Some("east\\1".into()),
+            kind: RecordKind::SpanExit {
+                span: 5,
+                name: "serve.\"quoted\"",
+                elapsed_nanos: 2_500_000_000,
+            },
+        },
     ]
 }
 
