@@ -605,20 +605,17 @@ impl ServerState {
         let mut exporter = JsonlExporter;
         let mut text = String::new();
         for r in records {
-            // render() already terminates each line with '\n'.
-            text.push_str(&exporter.render(r));
+            exporter.render_into(r, &mut text);
         }
         let evicted = {
             let mut ring = lock(&self.traces);
-            let evicted = if ring.len() >= self.trace_ring {
-                ring.pop_front().map(|(id, _)| id)
-            } else {
-                None
-            };
+            let evicted = if ring.len() >= self.trace_ring { ring.pop_front() } else { None };
             ring.push_back((req_id.to_string(), text));
             evicted
         };
-        if let Some(old_id) = evicted {
+        // The evicted capture (hundreds of KB for an optimum search) is
+        // freed here, after the ring lock is released.
+        if let Some((old_id, _old_text)) = evicted {
             if let Some(n) = old_id.strip_prefix('r').and_then(|n| n.parse::<u64>().ok()) {
                 self.evicted_watermark.fetch_max(n, Ordering::Relaxed);
             }

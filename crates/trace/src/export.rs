@@ -7,9 +7,12 @@
 //! couples one to an output stream.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
 use crate::record::{Record, RecordKind};
-use crate::value::{fields_json, fields_text, json_string};
+use crate::value::{
+    fields_json, fields_json_into, fields_text, json_string, json_string_into, Field, Value,
+};
 
 /// Which exporter the environment selected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,21 +48,35 @@ impl Format {
     }
 }
 
-/// A record-to-string transducer.
+/// A record-to-text transducer. Rendering appends: an exporter writes
+/// its text for a record to the end of the caller's buffer and never
+/// touches what the buffer already holds, so a caller can render a
+/// whole record stream into one `String`.
 pub trait Exporter {
     /// Emitted once before the first record.
     fn begin(&mut self) -> String {
         String::new()
     }
 
-    /// Renders one record (may be empty for records the format skips).
-    fn render(&mut self, rec: &Record) -> String;
+    /// Appends one record's rendering to `out` (nothing for records the
+    /// format skips).
+    fn render_into(&mut self, rec: &Record, out: &mut String);
+
+    /// Renders one record into a fresh `String`.
+    fn render(&mut self, rec: &Record) -> String {
+        let mut out = String::new();
+        self.render_into(rec, &mut out);
+        out
+    }
 
     /// Emitted once after the last record.
     fn finish(&mut self) -> String {
         String::new()
     }
 }
+
+// Writing into a `String` cannot fail, so the exporters below discard
+// the `fmt::Result` of each `write!`.
 
 // ---------------------------------------------------------------------
 // Text tree
@@ -80,68 +97,53 @@ impl TextTreeExporter {
         TextTreeExporter::default()
     }
 
-    fn indent(&self, thread: u64) -> String {
-        "  ".repeat(self.depth.get(&thread).copied().unwrap_or(0))
+    /// Two spaces per open span on `thread`.
+    fn indent(&self, thread: u64) -> usize {
+        2 * self.depth.get(&thread).copied().unwrap_or(0)
     }
 }
 
 impl Exporter for TextTreeExporter {
-    fn render(&mut self, rec: &Record) -> String {
+    fn render_into(&mut self, rec: &Record, out: &mut String) {
         let t = rec.thread;
-        match &rec.kind {
+        let _ = write!(out, "[t{t} {:>8}us] ", rec.ts_micros);
+        let _ = match &rec.kind {
             RecordKind::SpanEnter { name, fields, .. } => {
-                let line = format!(
-                    "[t{t} {:>8}us] {}> {name}{}\n",
-                    rec.ts_micros,
-                    self.indent(t),
-                    fields_text(fields)
-                );
+                let w = self.indent(t);
                 *self.depth.entry(t).or_insert(0) += 1;
-                line
+                writeln!(out, "{:w$}> {name}{}", "", fields_text(fields))
             }
             RecordKind::SpanExit { name, elapsed_nanos, .. } => {
                 let d = self.depth.entry(t).or_insert(0);
                 *d = d.saturating_sub(1);
-                format!(
-                    "[t{t} {:>8}us] {}< {name} ({})\n",
-                    rec.ts_micros,
-                    self.indent(t),
-                    fmt_nanos(*elapsed_nanos)
-                )
+                let w = self.indent(t);
+                writeln!(out, "{:w$}< {name} ({})", "", fmt_nanos(*elapsed_nanos))
             }
-            RecordKind::Event { name, fields, .. } => format!(
-                "[t{t} {:>8}us] {}. {name}{}\n",
-                rec.ts_micros,
-                self.indent(t),
-                fields_text(fields)
-            ),
-            RecordKind::Provenance { equation, function, inputs, outputs, .. } => format!(
-                "[t{t} {:>8}us] {}= {equation} {function}({}) -> ({})\n",
-                rec.ts_micros,
-                self.indent(t),
+            RecordKind::Event { name, fields, .. } => {
+                writeln!(out, "{:w$}. {name}{}", "", fields_text(fields), w = self.indent(t))
+            }
+            RecordKind::Provenance { equation, function, inputs, outputs, .. } => writeln!(
+                out,
+                "{:w$}= {equation} {function}({}) -> ({})",
+                "",
                 fields_text(inputs).trim_start(),
-                fields_text(outputs).trim_start()
+                fields_text(outputs).trim_start(),
+                w = self.indent(t)
             ),
-            RecordKind::Metric { name, metric_kind, fields } => format!(
-                "[t{t} {:>8}us] # {metric_kind} {name}{}\n",
-                rec.ts_micros,
-                fields_text(fields)
-            ),
-            RecordKind::Sample { name, metric_kind, t_ns, value } => format!(
-                "[t{t} {:>8}us] ~ {metric_kind} {name}={} @{t_ns}ns\n",
-                rec.ts_micros,
-                crate::value::Value::F64(*value)
-            ),
+            RecordKind::Metric { name, metric_kind, fields } => {
+                writeln!(out, "# {metric_kind} {name}{}", fields_text(fields))
+            }
+            RecordKind::Sample { name, metric_kind, t_ns, value } => {
+                writeln!(out, "~ {metric_kind} {name}={} @{t_ns}ns", Value::F64(*value))
+            }
             // Stack samples render flat (semicolon-folded, as a
             // flamegraph line would), not at the thread's span indent:
             // they come from the sampler thread, whose view of the
             // sampled thread's depth is the frame list itself.
-            RecordKind::StackSample { frames, depth, t_ns } => format!(
-                "[t{t} {:>8}us] @ {} (depth {depth}) @{t_ns}ns\n",
-                rec.ts_micros,
-                frames.join(";")
-            ),
-        }
+            RecordKind::StackSample { frames, depth, t_ns } => {
+                writeln!(out, "@ {} (depth {depth}) @{t_ns}ns", frames.join(";"))
+            }
+        };
     }
 }
 
@@ -177,87 +179,104 @@ impl JsonlExporter {
     }
 }
 
-fn opt_u64(v: Option<u64>) -> String {
-    v.map_or_else(|| "null".to_string(), |x| x.to_string())
+/// Appends `,"name":`.
+fn key(out: &mut String, name: &str) {
+    out.push_str(",\"");
+    out.push_str(name);
+    out.push_str("\":");
+}
+
+/// Appends `,"name":` followed by `s` as a JSON string.
+fn key_str(out: &mut String, name: &str, s: &str) {
+    key(out, name);
+    json_string_into(s, out);
+}
+
+/// Appends `,"name":` followed by `v` or `null`.
+fn key_opt_u64(out: &mut String, name: &str, v: Option<u64>) {
+    key(out, name);
+    match v {
+        Some(x) => {
+            let _ = write!(out, "{x}");
+        }
+        None => out.push_str("null"),
+    }
+}
+
+/// Appends `,"name":` followed by the fields as a JSON object.
+fn key_fields(out: &mut String, name: &str, fields: &[Field]) {
+    key(out, name);
+    fields_json_into(fields, out);
+}
+
+/// Appends a JSON array of strings.
+fn json_strings_into(items: &[&str], out: &mut String) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json_string_into(item, out);
+    }
+    out.push(']');
 }
 
 impl Exporter for JsonlExporter {
-    fn render(&mut self, rec: &Record) -> String {
+    fn render_into(&mut self, rec: &Record, out: &mut String) {
         // Schema 2: records emitted under a request scope carry a
         // `req_id` key in the envelope, and records from a labeled
         // fleet replica carry a `replica` key; both are omitted when
         // absent, so pre-existing captures remain valid under the same
         // checker.
-        let req = rec
-            .req_id
-            .as_deref()
-            .map(|id| format!(",\"req_id\":{}", json_string(id)))
-            .unwrap_or_default();
-        let replica = rec
-            .replica
-            .as_deref()
-            .map(|label| format!(",\"replica\":{}", json_string(label)))
-            .unwrap_or_default();
-        let head = format!(
-            "{{\"ts_us\":{},\"thread\":{}{req}{replica},\"type\":{}",
-            rec.ts_micros,
-            rec.thread,
-            json_string(rec.kind.tag())
-        );
-        let body = match &rec.kind {
-            RecordKind::SpanEnter { span, parent, name, fields } => format!(
-                ",\"span\":{},\"parent\":{},\"name\":{},\"fields\":{}",
-                span,
-                opt_u64(*parent),
-                json_string(name),
-                fields_json(fields)
-            ),
-            RecordKind::SpanExit { span, name, elapsed_nanos } => format!(
-                ",\"span\":{},\"name\":{},\"elapsed_ns\":{}",
-                span,
-                json_string(name),
-                elapsed_nanos
-            ),
-            RecordKind::Event { span, name, fields } => format!(
-                ",\"span\":{},\"name\":{},\"fields\":{}",
-                opt_u64(*span),
-                json_string(name),
-                fields_json(fields)
-            ),
-            RecordKind::Provenance { span, equation, function, inputs, outputs } => format!(
-                ",\"span\":{},\"equation\":{},\"function\":{},\"inputs\":{},\"outputs\":{}",
-                opt_u64(*span),
-                json_string(equation.id()),
-                json_string(function),
-                fields_json(inputs),
-                fields_json(outputs)
-            ),
-            RecordKind::Metric { name, metric_kind, fields } => format!(
-                ",\"name\":{},\"metric_kind\":{},\"fields\":{}",
-                json_string(name),
-                json_string(metric_kind),
-                fields_json(fields)
-            ),
-            RecordKind::Sample { name, metric_kind, t_ns, value } => format!(
-                ",\"name\":{},\"metric_kind\":{},\"t_ns\":{},\"value\":{}",
-                json_string(name),
-                json_string(metric_kind),
-                t_ns,
-                crate::value::Value::F64(*value).render_json()
-            ),
-            RecordKind::StackSample { frames, depth, t_ns } => {
-                let mut arr = String::from("[");
-                for (i, frame) in frames.iter().enumerate() {
-                    if i > 0 {
-                        arr.push(',');
-                    }
-                    arr.push_str(&json_string(frame));
-                }
-                arr.push(']');
-                format!(",\"depth\":{depth},\"t_ns\":{t_ns},\"frames\":{arr}")
+        let _ = write!(out, "{{\"ts_us\":{},\"thread\":{}", rec.ts_micros, rec.thread);
+        if let Some(id) = rec.req_id.as_deref() {
+            key_str(out, "req_id", id);
+        }
+        if let Some(label) = rec.replica.as_deref() {
+            key_str(out, "replica", label);
+        }
+        key_str(out, "type", rec.kind.tag());
+        match &rec.kind {
+            RecordKind::SpanEnter { span, parent, name, fields } => {
+                let _ = write!(out, ",\"span\":{span}");
+                key_opt_u64(out, "parent", *parent);
+                key_str(out, "name", name);
+                key_fields(out, "fields", fields);
             }
-        };
-        format!("{head}{body}}}\n")
+            RecordKind::SpanExit { span, name, elapsed_nanos } => {
+                let _ = write!(out, ",\"span\":{span}");
+                key_str(out, "name", name);
+                let _ = write!(out, ",\"elapsed_ns\":{elapsed_nanos}");
+            }
+            RecordKind::Event { span, name, fields } => {
+                key_opt_u64(out, "span", *span);
+                key_str(out, "name", name);
+                key_fields(out, "fields", fields);
+            }
+            RecordKind::Provenance { span, equation, function, inputs, outputs } => {
+                key_opt_u64(out, "span", *span);
+                key_str(out, "equation", equation.id());
+                key_str(out, "function", function);
+                key_fields(out, "inputs", inputs);
+                key_fields(out, "outputs", outputs);
+            }
+            RecordKind::Metric { name, metric_kind, fields } => {
+                key_str(out, "name", name);
+                key_str(out, "metric_kind", metric_kind);
+                key_fields(out, "fields", fields);
+            }
+            RecordKind::Sample { name, metric_kind, t_ns, value } => {
+                key_str(out, "name", name);
+                key_str(out, "metric_kind", metric_kind);
+                let _ = write!(out, ",\"t_ns\":{t_ns},\"value\":");
+                Value::F64(*value).render_json_into(out);
+            }
+            RecordKind::StackSample { frames, depth, t_ns } => {
+                let _ = write!(out, ",\"depth\":{depth},\"t_ns\":{t_ns},\"frames\":");
+                json_strings_into(frames, out);
+            }
+        }
+        out.push_str("}\n");
     }
 }
 
@@ -291,13 +310,22 @@ impl ChromeExporter {
     }
 }
 
-/// One chrome event object.
-fn chrome_event(ph: &str, name: &str, ts: u64, tid: u64, extra: &str, args: &str) -> String {
-    format!(
+/// Appends one chrome event object.
+fn chrome_event(
+    out: &mut String,
+    ph: &str,
+    name: &str,
+    ts: u64,
+    tid: u64,
+    extra: &str,
+    args: &str,
+) {
+    let _ = write!(
+        out,
         "{{\"name\":{},\"ph\":{},\"ts\":{ts},\"pid\":1,\"tid\":{tid}{extra},\"args\":{args}}}",
         json_string(name),
         json_string(ph)
-    )
+    );
 }
 
 impl Exporter for ChromeExporter {
@@ -305,17 +333,17 @@ impl Exporter for ChromeExporter {
         "[".to_string()
     }
 
-    fn render(&mut self, rec: &Record) -> String {
-        let sep = self.sep();
+    fn render_into(&mut self, rec: &Record, out: &mut String) {
+        out.push_str(self.sep());
         let t = rec.thread;
         let ts = rec.ts_micros;
-        let ev = match &rec.kind {
+        match &rec.kind {
             RecordKind::SpanEnter { name, fields, .. } => {
-                chrome_event("B", name, ts, t, "", &fields_json(fields))
+                chrome_event(out, "B", name, ts, t, "", &fields_json(fields));
             }
-            RecordKind::SpanExit { name, .. } => chrome_event("E", name, ts, t, "", "{}"),
+            RecordKind::SpanExit { name, .. } => chrome_event(out, "E", name, ts, t, "", "{}"),
             RecordKind::Event { name, fields, .. } => {
-                chrome_event("i", name, ts, t, ",\"s\":\"t\"", &fields_json(fields))
+                chrome_event(out, "i", name, ts, t, ",\"s\":\"t\"", &fields_json(fields));
             }
             RecordKind::Provenance { equation, function, inputs, outputs, .. } => {
                 let args = format!(
@@ -324,40 +352,30 @@ impl Exporter for ChromeExporter {
                     fields_json(inputs),
                     fields_json(outputs)
                 );
-                chrome_event("i", function, ts, t, ",\"s\":\"t\"", &args)
+                chrome_event(out, "i", function, ts, t, ",\"s\":\"t\"", &args);
             }
             // Counter events plot numeric args as stacked series.
             RecordKind::Metric { name, fields, .. } => {
-                chrome_event("C", name, ts, t, "", &fields_json(fields))
+                chrome_event(out, "C", name, ts, t, "", &fields_json(fields));
             }
             // Timeline points become a counter track per metric, one
             // `C` event per sample, plotted at the sample's own
             // capture time (ns floored to the format's us resolution).
             RecordKind::Sample { name, t_ns, value, .. } => {
-                let args = format!(
-                    "{{\"value\":{}}}",
-                    crate::value::Value::F64(*value).render_json()
-                );
-                chrome_event("C", name, t_ns / 1_000, t, "", &args)
+                let args = format!("{{\"value\":{}}}", Value::F64(*value).render_json());
+                chrome_event(out, "C", name, t_ns / 1_000, t, "", &args);
             }
             // Stack samples become instants named after the leaf frame,
             // plotted on the sampled thread's own track at sample time,
             // with the full stack in args for inspection.
             RecordKind::StackSample { frames, depth, t_ns } => {
-                let mut arr = String::from("[");
-                for (i, frame) in frames.iter().enumerate() {
-                    if i > 0 {
-                        arr.push(',');
-                    }
-                    arr.push_str(&json_string(frame));
-                }
-                arr.push(']');
+                let mut arr = String::new();
+                json_strings_into(frames, &mut arr);
                 let leaf = frames.last().copied().unwrap_or("(idle)");
                 let args = format!("{{\"depth\":{depth},\"frames\":{arr}}}");
-                chrome_event("i", leaf, t_ns / 1_000, t, ",\"s\":\"t\"", &args)
+                chrome_event(out, "i", leaf, t_ns / 1_000, t, ",\"s\":\"t\"", &args);
             }
-        };
-        format!("{sep}{ev}")
+        }
     }
 
     fn finish(&mut self) -> String {
@@ -472,6 +490,86 @@ mod tests {
         assert!(out.trim_end().ends_with(']'));
         assert!(out.contains("\"ph\":\"B\""));
         assert!(out.contains("\"ph\":\"E\""));
+    }
+
+    /// One record of every kind, scoped and labeled so the JSONL
+    /// envelope renders its optional keys too.
+    fn one_of_each_kind() -> Vec<Record> {
+        let mut recs = records();
+        recs.extend([
+            Record::unscoped(
+                16,
+                2,
+                RecordKind::Event {
+                    span: None,
+                    name: "evt",
+                    fields: vec![Field::new("s", Value::Str("a\"b\n".into()))],
+                },
+            ),
+            Record::unscoped(
+                17,
+                1,
+                RecordKind::Metric {
+                    name: "m",
+                    metric_kind: "counter",
+                    fields: vec![Field::new("value", Value::U64(3))],
+                },
+            ),
+            Record::unscoped(
+                18,
+                1,
+                RecordKind::Sample {
+                    name: "m",
+                    metric_kind: "gauge",
+                    t_ns: 18_000,
+                    value: f64::NAN,
+                },
+            ),
+            Record::unscoped(
+                19,
+                3,
+                RecordKind::StackSample { frames: vec!["outer", "inner"], depth: 2, t_ns: 19_000 },
+            ),
+        ]);
+        for rec in &mut recs {
+            rec.req_id = Some(std::sync::Arc::from("r1"));
+            rec.replica = Some(std::sync::Arc::from("a"));
+        }
+        recs
+    }
+
+    #[test]
+    fn render_into_appends_exactly_render_and_keeps_the_prefix() {
+        let mut seen = [false; 7];
+        for rec in one_of_each_kind() {
+            // Adding a record kind fails to compile here until the
+            // fixture above covers it.
+            seen[match rec.kind {
+                RecordKind::SpanEnter { .. } => 0,
+                RecordKind::SpanExit { .. } => 1,
+                RecordKind::Event { .. } => 2,
+                RecordKind::Provenance { .. } => 3,
+                RecordKind::Metric { .. } => 4,
+                RecordKind::Sample { .. } => 5,
+                RecordKind::StackSample { .. } => 6,
+            }] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "fixture covers every record kind");
+
+        for format in [Format::Text, Format::Jsonl, Format::Chrome] {
+            // Two exporters fed the same stream stay in the same state
+            // (text indentation, chrome separators).
+            let (mut fresh, mut appending) = (format.exporter(), format.exporter());
+            let mut buf = String::from("prefix \u{e9}\n");
+            for rec in one_of_each_kind() {
+                let expected = fresh.render(&rec);
+                let before = buf.clone();
+                appending.render_into(&rec, &mut buf);
+                assert!(!expected.is_empty(), "{format:?} renders {:?}", rec.kind.tag());
+                assert_eq!(&buf[..before.len()], before, "{format:?} kept the prefix");
+                assert_eq!(&buf[before.len()..], expected, "{format:?} appended render()");
+            }
+        }
     }
 
     #[test]

@@ -72,6 +72,9 @@ pub struct WriterSubscriber {
 struct WriterInner {
     exporter: Box<dyn Exporter + Send>,
     out: Box<dyn Write + Send>,
+    /// Reused line buffer: each record is rendered into it and written
+    /// from it, so a record costs no allocation once it has grown.
+    line: String,
     finished: bool,
 }
 
@@ -88,7 +91,7 @@ impl WriterSubscriber {
         let header = exporter.begin();
         let _ = out.write_all(header.as_bytes());
         WriterSubscriber {
-            inner: Mutex::new(WriterInner { exporter, out, finished: false }),
+            inner: Mutex::new(WriterInner { exporter, out, line: String::new(), finished: false }),
         }
     }
 }
@@ -99,8 +102,11 @@ impl Subscriber for WriterSubscriber {
         if inner.finished {
             return;
         }
-        let line = inner.exporter.render(rec);
+        let mut line = std::mem::take(&mut inner.line);
+        line.clear();
+        inner.exporter.render_into(rec, &mut line);
         let _ = inner.out.write_all(line.as_bytes());
+        inner.line = line;
     }
 
     fn flush(&self) {

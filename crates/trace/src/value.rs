@@ -1,7 +1,7 @@
 //! Typed key-value fields carried by spans, events, and provenance
 //! records.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A field value. The closed set keeps exporters total: every variant
 /// has a defined text and JSON rendering.
@@ -24,18 +24,23 @@ impl Value {
     /// line stays parseable JSON.
     #[must_use]
     pub fn render_json(&self) -> String {
+        let mut out = String::new();
+        self.render_json_into(&mut out);
+        out
+    }
+
+    /// Appends the [`Value::render_json`] rendering to `out`.
+    pub fn render_json_into(&self, out: &mut String) {
         match self {
-            Value::I64(v) => v.to_string(),
-            Value::U64(v) => v.to_string(),
-            Value::F64(v) => {
-                if v.is_finite() {
-                    format_f64(*v)
-                } else {
-                    "null".to_string()
-                }
+            Value::F64(v) if !v.is_finite() => out.push_str("null"),
+            Value::Str(s) => json_string_into(s, out),
+            // The remaining `Display` renderings are JSON already:
+            // `f64`'s never emits exponent syntax and round-trips the
+            // value exactly, which keeps JSON valid and diffs stable.
+            // Writing into a `String` cannot fail.
+            scalar => {
+                let _ = write!(out, "{scalar}");
             }
-            Value::Bool(v) => v.to_string(),
-            Value::Str(s) => json_string(s),
         }
     }
 }
@@ -45,7 +50,7 @@ impl fmt::Display for Value {
         match self {
             Value::I64(v) => write!(f, "{v}"),
             Value::U64(v) => write!(f, "{v}"),
-            Value::F64(v) => write!(f, "{}", format_f64(*v)),
+            Value::F64(v) => write!(f, "{v}"),
             Value::Bool(v) => write!(f, "{v}"),
             Value::Str(s) => write!(f, "{s}"),
         }
@@ -126,17 +131,23 @@ impl Field {
 /// Renders a field list as a JSON object (`{"a":1,"b":"x"}`).
 #[must_use]
 pub fn fields_json(fields: &[Field]) -> String {
-    let mut out = String::from("{");
+    let mut out = String::new();
+    fields_json_into(fields, &mut out);
+    out
+}
+
+/// Appends the [`fields_json`] rendering to `out`.
+pub fn fields_json_into(fields: &[Field], out: &mut String) {
+    out.push('{');
     for (i, f) in fields.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&json_string(f.name));
+        json_string_into(f.name, out);
         out.push(':');
-        out.push_str(&f.value.render_json());
+        f.value.render_json_into(out);
     }
     out.push('}');
-    out
 }
 
 /// Renders a field list as ` k=v k=v` (leading space when non-empty).
@@ -152,30 +163,42 @@ pub fn fields_text(fields: &[Field]) -> String {
     out
 }
 
-/// Default `Display` for `f64` never emits exponent syntax and round-trips
-/// the value exactly, which keeps JSON valid and diffs stable.
-fn format_f64(v: f64) -> String {
-    format!("{v}")
-}
-
 /// Minimal JSON string escaping (quotes, backslashes, control chars).
 #[must_use]
 pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    let mut out = String::new();
+    json_string_into(s, &mut out);
     out
+}
+
+/// Appends the [`json_string`] rendering to `out`. Runs of characters
+/// that need no escaping are copied as one slice.
+pub fn json_string_into(s: &str, out: &mut String) {
+    out.reserve(s.len() + 2);
+    out.push('"');
+    let mut run = 0;
+    // Every byte that needs escaping is ASCII, so each split point is a
+    // char boundary.
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 #[cfg(test)]
