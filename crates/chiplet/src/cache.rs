@@ -1,5 +1,6 @@
-//! A keyed memo over SiP evaluations, provenance-transparent like the
-//! core [`ScenarioCache`](nanocost_core::ScenarioCache).
+//! A keyed memo over SiP evaluations: a thin wrapper over the core
+//! [`ProvenanceMemo`], the same lookup-or-compute path behind
+//! [`ScenarioCache`](nanocost_core::ScenarioCache).
 //!
 //! Crossover sweeps revisit the same `(λ, s_d, N_tr, V, n)` lattice
 //! points from both the figure bin and the query server, so the
@@ -9,36 +10,18 @@
 //! fingerprint pipeline — the cached==uncached invariant the serve and
 //! bench tests pin.
 //!
-//! Key quanta are shared with the core cache
-//! ([`LAMBDA_QUANTUM_UM`](nanocost_core::LAMBDA_QUANTUM_UM) and
-//! friends) so the two caches agree on what "the same scenario" means.
-
-use std::collections::HashMap;
-use std::hash::Hash;
-use std::sync::{Arc, Mutex};
+//! Keys go through the core [`quantize`] on the core cache's lattice
+//! ([`LAMBDA_QUANTUM_UM`] and friends) so the two caches agree on what
+//! "the same scenario" means.
 
 use nanocost_core::{
-    CacheStats, DEFAULT_CAPACITY, LAMBDA_QUANTUM_UM, SD_QUANTUM, TRANSISTOR_QUANTUM,
+    quantize, CacheStats, ProvenanceMemo, DEFAULT_CAPACITY, LAMBDA_QUANTUM_UM, SD_QUANTUM,
+    TRANSISTOR_QUANTUM,
 };
-use nanocost_trace::record::RecordKind;
-use nanocost_trace::value::Field;
-use nanocost_trace::{counter, provenance, with_capture};
+use nanocost_trace::counter;
 use nanocost_units::UnitError;
 
 use crate::scenario::{ChipletModels, ChipletReport, ChipletScenario};
-
-/// Quantizes one raw input coordinate onto its key lattice, saturating
-/// at the `i64` range (mirrors the core cache's lattice).
-fn quantize(x: f64, quantum: f64) -> i64 {
-    let q = (x / quantum).round();
-    if q >= i64::MAX as f64 {
-        i64::MAX
-    } else if q <= i64::MIN as f64 {
-        i64::MIN
-    } else {
-        q as i64
-    }
-}
 
 /// Quantized identity of one SiP query point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,101 +49,20 @@ impl SipKey {
     }
 }
 
-/// One stored provenance record, replayed verbatim on a hit.
-#[derive(Debug, Clone)]
-struct ReplayRecord {
-    equation: nanocost_trace::provenance::Equation,
-    function: &'static str,
-    inputs: Vec<Field>,
-    outputs: Vec<Field>,
-}
-
-fn replay_of(records: &[nanocost_trace::record::Record]) -> Vec<ReplayRecord> {
-    records
-        .iter()
-        .filter_map(|r| match &r.kind {
-            RecordKind::Provenance { equation, function, inputs, outputs, .. } => {
-                Some(ReplayRecord {
-                    equation: *equation,
-                    function,
-                    inputs: inputs.clone(),
-                    outputs: outputs.clone(),
-                })
-            }
-            _ => None,
-        })
-        .collect()
-}
-
-fn replay(replay: &[ReplayRecord]) {
-    if !nanocost_trace::is_enabled() {
-        return;
+/// Ticks the chiplet cache's trace counters for one lookup.
+fn count(hit: bool) {
+    if hit {
+        counter!("chiplet.cache.hit", 1);
+    } else {
+        counter!("chiplet.cache.miss", 1);
     }
-    for r in replay {
-        provenance::emit(r.equation, r.function, r.inputs.clone(), r.outputs.clone());
-    }
-}
-
-struct LruEntry {
-    stamp: u64,
-    value: ChipletReport,
-    // `None` marks an entry stored while tracing was disabled; a traced
-    // computation that captured nothing stores `Some(empty)` — the two
-    // must stay distinct or replay-less entries would never recompute.
-    replay: Option<Arc<Vec<ReplayRecord>>>,
-}
-
-/// Stamp-scan LRU, as in the core cache: eviction scans for the
-/// minimum stamp, which beats a linked-list design at these capacities
-/// without unsafe code.
-struct Lru {
-    map: HashMap<SipKey, LruEntry>,
-    capacity: usize,
-    clock: u64,
-}
-
-impl Lru {
-    fn new(capacity: usize) -> Self {
-        Lru { map: HashMap::new(), capacity: capacity.max(1), clock: 0 }
-    }
-
-    fn get(&mut self, key: &SipKey) -> Option<(ChipletReport, Option<Arc<Vec<ReplayRecord>>>)> {
-        self.clock += 1;
-        let clock = self.clock;
-        self.map.get_mut(key).map(|e| {
-            e.stamp = clock;
-            (e.value, e.replay.clone())
-        })
-    }
-
-    fn insert(&mut self, key: SipKey, value: ChipletReport, replay: Option<Arc<Vec<ReplayRecord>>>) {
-        self.clock += 1;
-        if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
-            if let Some(oldest) =
-                self.map.iter().min_by_key(|(_, e)| e.stamp).map(|(k, _)| *k)
-            {
-                self.map.remove(&oldest);
-            }
-        }
-        self.map.insert(key, LruEntry { stamp: self.clock, value, replay });
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-}
-
-struct Inner {
-    reports: Lru,
-    hits: u64,
-    misses: u64,
 }
 
 /// A thread-safe memo of SiP evaluations keyed on quantized scenario
 /// inputs, with verbatim Eq.-C* provenance replay on hits.
 pub struct ChipletCache {
     models: ChipletModels,
-    inner: Mutex<Inner>,
+    memo: ProvenanceMemo<SipKey, ChipletReport>,
 }
 
 impl std::fmt::Debug for ChipletCache {
@@ -182,7 +84,7 @@ impl ChipletCache {
     pub fn new(models: ChipletModels, capacity: usize) -> Self {
         ChipletCache {
             models,
-            inner: Mutex::new(Inner { reports: Lru::new(capacity), hits: 0, misses: 0 }),
+            memo: ProvenanceMemo::new(capacity, count),
         }
     }
 
@@ -197,93 +99,25 @@ impl ChipletCache {
         Ok(ChipletCache::new(ChipletModels::defaults()?, DEFAULT_CAPACITY))
     }
 
-    /// The model stack this cache evaluates on misses.
-    #[must_use]
-    pub fn models(&self) -> &ChipletModels {
-        &self.models
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        // A poisoned lock only means another thread panicked mid-insert;
-        // the map itself is still structurally sound, so keep serving.
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn count(&self, hit: bool) {
-        let mut inner = self.lock();
-        if hit {
-            inner.hits += 1;
-            drop(inner);
-            counter!("chiplet.cache.hit", 1);
-        } else {
-            inner.misses += 1;
-            drop(inner);
-            counter!("chiplet.cache.miss", 1);
-        }
-    }
-
     /// SiP evaluation through the cache; identical in value and
-    /// provenance to calling [`ChipletModels::evaluate`]. A miss while
-    /// tracing is enabled computes under
-    /// [`with_capture`](nanocost_trace::with_capture) and stores the
-    /// Eq.-C* stream for verbatim replay; a replay-less entry hit
-    /// while tracing is enabled is recomputed (counted as a miss) so
-    /// the provenance invariant holds unconditionally. Errors are
-    /// never cached.
+    /// provenance to calling [`ChipletModels::evaluate`] (the memo's
+    /// replay rules are on [`ProvenanceMemo::get_or_compute`]).
     ///
     /// # Errors
     ///
-    /// As [`ChipletModels::evaluate`].
+    /// As [`ChipletModels::evaluate`]; errors are never cached.
     pub fn evaluate(&self, scenario: &ChipletScenario) -> Result<ChipletReport, UnitError> {
-        self.evaluate_traced(scenario).map(|(value, _hit)| value)
-    }
-
-    /// As [`ChipletCache::evaluate`], also reporting whether the point
-    /// was served from the cache.
-    pub fn evaluate_traced(
-        &self,
-        scenario: &ChipletScenario,
-    ) -> Result<(ChipletReport, bool), UnitError> {
         // Validate before keying so degenerate scenarios (chiplets = 0,
         // inconsistent distinct_designs) never touch the table.
         scenario.validate()?;
-        let key = SipKey::new(scenario);
-        let enabled = nanocost_trace::is_enabled();
-        let found = self.lock().reports.get(&key);
-        if let Some((value, stored)) = found {
-            if !enabled || stored.is_some() {
-                self.count(true);
-                if let Some(records) = &stored {
-                    replay(records);
-                }
-                return Ok((value, true));
-            }
-            // Stored while tracing was off; recapture below.
-        }
-        self.count(false);
-        let (stored, result) = if enabled {
-            let (records, result) = with_capture(|| self.models.evaluate(scenario));
-            (Some(Arc::new(replay_of(&records))), result)
-        } else {
-            (None, self.models.evaluate(scenario))
-        };
-        let value = result?;
-        self.lock().reports.insert(key, value, stored);
-        Ok((value, false))
+        self.memo
+            .get_or_compute(SipKey::new(scenario), || self.models.evaluate(scenario))
     }
 
     /// Snapshot of the lifetime hit/miss counters and occupancy.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        let inner = self.lock();
-        CacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            entries: inner.reports.len(),
-            capacity: inner.reports.capacity,
-        }
+        self.memo.stats()
     }
 }
 
@@ -292,6 +126,7 @@ mod tests {
     use super::*;
     use crate::assembly::AssemblyKind;
     use nanocost_trace::export::{Exporter, JsonlExporter};
+    use nanocost_trace::record::RecordKind;
     use nanocost_trace::with_collector;
     use nanocost_units::{ChipCount, DecompressionIndex, FeatureSize, TransistorCount};
 
@@ -379,38 +214,5 @@ mod tests {
                 "missing {wanted} in {miss:?}"
             );
         }
-    }
-
-    #[test]
-    fn untraced_entries_recompute_under_tracing() {
-        let cache = ChipletCache::defaults().unwrap();
-        let s = scenario(2);
-        // Stored replay-less (tracing disabled out here).
-        cache.evaluate(&s).unwrap();
-        // Under a collector the replay-less entry must recompute...
-        let (records, _) = with_collector(|| {
-            cache.evaluate(&s).unwrap();
-        });
-        assert!(records.iter().any(|r| matches!(r.kind, RecordKind::Provenance { .. })));
-        // ...and the recomputed entry then replays on a traced hit.
-        let (again, _) = with_collector(|| {
-            cache.evaluate(&s).unwrap();
-        });
-        assert_eq!(rendered_provenance(&records), rendered_provenance(&again));
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 2));
-    }
-
-    #[test]
-    fn lru_evicts_at_capacity() {
-        let cache =
-            ChipletCache::new(ChipletModels::defaults().unwrap(), 2);
-        cache.evaluate(&scenario(1)).unwrap();
-        cache.evaluate(&scenario(2)).unwrap();
-        cache.evaluate(&scenario(4)).unwrap(); // evicts scenario(1)
-        cache.evaluate(&scenario(1)).unwrap(); // miss again
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (0, 4));
-        assert_eq!(stats.entries, 2);
     }
 }

@@ -197,13 +197,6 @@ impl ChipletModels {
         )
     }
 
-    /// Replaces the NRE model (e.g. to set cross-product reuse).
-    #[must_use]
-    pub fn with_nre(mut self, nre: SipNre) -> Self {
-        self.nre = nre;
-        self
-    }
-
     fn assembly_tech(&self, kind: AssemblyKind) -> &AssemblyTech {
         match kind {
             AssemblyKind::Rdl => &self.rdl,

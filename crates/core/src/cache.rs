@@ -9,21 +9,24 @@
 //! and located §3.1 optima — behind quantized-input keys with LRU
 //! eviction.
 //!
-//! The cache is provenance-transparent: on a miss while tracing is
-//! enabled, the evaluation runs under a
-//! [`nanocost_trace::with_capture`] frame and the captured
-//! Eq.-provenance records are stored with the value; on a hit they are
-//! replayed verbatim. A traced sweep therefore produces the *same*
-//! provenance multiset — and the same pipeline fingerprint — whether
-//! it was served from the cache or computed fresh.
+//! Every table is one [`ProvenanceMemo`], the single lookup-or-compute
+//! path the workspace's model caches share (the chiplet crate's SiP
+//! cache is another thin wrapper over it). The memo is
+//! provenance-transparent: on a miss while tracing is enabled, the
+//! evaluation runs under a [`nanocost_trace::with_capture`] frame and
+//! the captured Eq.-provenance records are stored with the value; on a
+//! hit they are replayed verbatim. A traced sweep therefore produces
+//! the *same* provenance multiset — and the same pipeline fingerprint —
+//! whether it was served from the cache or computed fresh.
 //!
 //! While tracing is *disabled* the capture is skipped entirely — a
 //! `with_capture` frame would force-enable the instrumentation macros
 //! and pay their record-materialization cost for nobody — and the
 //! entry is stored replay-less. Should tracing later be enabled and
-//! hit such an entry, the cache recomputes it under capture (counted
+//! hit such an entry, the memo recomputes it under capture (counted
 //! as a miss) so the provenance invariant holds unconditionally.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex};
@@ -66,8 +69,12 @@ pub const DEFAULT_CAPACITY: usize = 4096;
 /// pin ~1.1 GB; 256 matches the serve trace ring's default depth.
 pub const OPTIMA_CAPACITY: usize = 256;
 
-/// Quantizes one raw input coordinate onto its key lattice.
-fn quantize(x: f64, quantum: f64) -> i64 {
+/// Quantizes one raw coordinate of the paper's `(λ, s_d, N_tr, N_w, Y)`
+/// query space onto its key lattice (one of the `*_QUANTUM` constants),
+/// so every cache keyed through it agrees on what "the same scenario"
+/// means.
+#[must_use]
+pub fn quantize(x: f64, quantum: f64) -> i64 {
     let q = (x / quantum).round();
     // Saturate rather than wrap for absurd magnitudes; such keys still
     // compare consistently, they just stop distinguishing infinities.
@@ -78,69 +85,6 @@ fn quantize(x: f64, quantum: f64) -> i64 {
     } else {
         q as i64
     }
-}
-
-/// Quantized identity of one eq.-4 query point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct PointKey {
-    lambda: i64,
-    sd: i64,
-    transistors: i64,
-    volume: u64,
-    fab_yield: i64,
-    mask_cost: i64,
-}
-
-impl PointKey {
-    fn new(
-        lambda: FeatureSize,
-        sd: DecompressionIndex,
-        transistors: TransistorCount,
-        volume: WaferCount,
-        fab_yield: Yield,
-        mask_cost: Dollars,
-    ) -> Self {
-        PointKey {
-            lambda: quantize(lambda.microns(), LAMBDA_QUANTUM_UM),
-            sd: quantize(sd.squares(), SD_QUANTUM),
-            transistors: quantize(transistors.count(), TRANSISTOR_QUANTUM),
-            volume: volume.count(),
-            fab_yield: quantize(fab_yield.value(), YIELD_QUANTUM),
-            mask_cost: quantize(mask_cost.amount(), DOLLARS_QUANTUM),
-        }
-    }
-}
-
-/// Quantized identity of one eq.-7 query point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct GeneralizedKey {
-    lambda: i64,
-    sd: i64,
-    transistors: i64,
-    volume: u64,
-}
-
-impl GeneralizedKey {
-    fn new(point: DesignPoint) -> Self {
-        GeneralizedKey {
-            lambda: quantize(point.lambda.microns(), LAMBDA_QUANTUM_UM),
-            sd: quantize(point.sd.squares(), SD_QUANTUM),
-            transistors: quantize(point.transistors.count(), TRANSISTOR_QUANTUM),
-            volume: point.volume.count(),
-        }
-    }
-}
-
-/// Quantized identity of one §3.1 optimum search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct OptimumKey {
-    lambda: i64,
-    transistors: i64,
-    volume: u64,
-    fab_yield: i64,
-    mask_cost: i64,
-    sd_lo: i64,
-    sd_hi: i64,
 }
 
 /// One stored provenance record, replayed verbatim on every cache hit
@@ -155,7 +99,7 @@ struct ReplayRecord {
 }
 
 /// Extracts the provenance records from a capture frame.
-fn replay_of(records: &[nanocost_trace::record::Record]) -> Vec<ReplayRecord> {
+fn replay_of(records: &[nanocost_trace::record::Record]) -> Arc<[ReplayRecord]> {
     records
         .iter()
         .filter_map(|r| match &r.kind {
@@ -195,7 +139,7 @@ struct LruEntry<V> {
     // computation that emitted zero provenance stores `Some(empty)`,
     // which still counts as captured — the two must not share a
     // sentinel or such entries would recompute on every traced lookup.
-    replay: Option<Arc<Vec<ReplayRecord>>>,
+    replay: Option<Arc<[ReplayRecord]>>,
 }
 
 /// A small LRU map: recency is a monotone stamp, eviction scans for
@@ -217,7 +161,7 @@ impl<K: Eq + Hash + Copy, V: Clone> Lru<K, V> {
         }
     }
 
-    fn get(&mut self, key: &K) -> Option<(V, Option<Arc<Vec<ReplayRecord>>>)> {
+    fn get(&mut self, key: &K) -> Option<(V, Option<Arc<[ReplayRecord]>>)> {
         self.clock += 1;
         let clock = self.clock;
         self.map.get_mut(key).map(|e| {
@@ -226,7 +170,7 @@ impl<K: Eq + Hash + Copy, V: Clone> Lru<K, V> {
         })
     }
 
-    fn insert(&mut self, key: K, value: V, replay: Option<Arc<Vec<ReplayRecord>>>) {
+    fn insert(&mut self, key: K, value: V, replay: Option<Arc<[ReplayRecord]>>) {
         self.clock += 1;
         if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
             if let Some(oldest) = self
@@ -247,19 +191,179 @@ impl<K: Eq + Hash + Copy, V: Clone> Lru<K, V> {
             },
         );
     }
+}
 
-    fn len(&self) -> usize {
-        self.map.len()
+thread_local! {
+    /// This thread's `(hits, misses)` over every memo lookup.
+    static TALLY: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// This thread's lifetime `(hits, misses)` across every
+/// [`ProvenanceMemo`] lookup of a paper-equation or chiplet query,
+/// whichever cache made it. Diffing it around a unit of work attributes
+/// exactly that work's cache traffic, untouched by lookups other
+/// threads make meanwhile — the query server's per-request access-log
+/// columns.
+#[must_use]
+pub fn thread_tally() -> (u64, u64) {
+    TALLY.with(Cell::get)
+}
+
+struct MemoInner<K, V> {
+    lru: Lru<K, V>,
+    hits: u64,
+    misses: u64,
+}
+
+/// A thread-safe, LRU-bounded memo of model evaluations with verbatim
+/// Eq.-provenance replay on hits: the one lookup-or-compute path
+/// behind [`ScenarioCache`] and the chiplet crate's SiP cache.
+///
+/// Keys are the caller's quantized inputs (see [`quantize`]); each
+/// lookup counts once, under the same lock as the table read, into
+/// the memo's [`CacheStats`] and this thread's [`thread_tally`], then
+/// calls the owner's trace-counter hook outside the lock.
+pub struct ProvenanceMemo<K, V> {
+    inner: Mutex<MemoInner<K, V>>,
+    count: fn(bool),
+}
+
+impl<K: Eq + Hash + Copy, V: Clone> std::fmt::Debug for ProvenanceMemo<K, V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ProvenanceMemo")
+            .field("stats", &self.stats())
+            .finish_non_exhaustive()
     }
 }
 
-struct Inner {
-    points: Lru<PointKey, CostBreakdown>,
-    masks: Lru<i64, Dollars>,
-    reports: Lru<GeneralizedKey, GeneralizedReport>,
-    optima: Lru<OptimumKey, DensityOptimum>,
-    hits: u64,
-    misses: u64,
+impl<K: Eq + Hash + Copy, V: Clone> ProvenanceMemo<K, V> {
+    /// An empty memo for one family of paper-equation queries, holding
+    /// at most `capacity` entries (clamped to at least one). `count` is
+    /// called with `true` on every hit and `false` on every miss; it
+    /// ticks the owner's `counter!` pair, whose names stay literals at
+    /// the owner.
+    #[must_use]
+    pub fn new(capacity: usize, count: fn(bool)) -> Self {
+        ProvenanceMemo {
+            inner: Mutex::new(MemoInner {
+                lru: Lru::new(capacity),
+                hits: 0,
+                misses: 0,
+            }),
+            count,
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, MemoInner<K, V>> {
+        // A poisoned lock only means another thread panicked mid-insert;
+        // the map itself is still structurally sound, so keep serving.
+        self.inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Looks `key` up, running the paper-equation evaluation `compute`
+    /// and storing its value on a miss. Whether a lookup hit shows in
+    /// [`ProvenanceMemo::stats`] and [`thread_tally`].
+    ///
+    /// With tracing enabled, a miss computes under [`with_capture`] and
+    /// stores the provenance for verbatim replay — even when the
+    /// capture is legitimately empty, which is distinct from "never
+    /// captured". With tracing disabled the capture is skipped (the
+    /// instrumentation stays on its free disabled path) and the entry
+    /// is stored replay-less (`None`). A hit on a replay-less entry
+    /// while tracing *is* enabled would silently drop provenance, so it
+    /// is treated as a miss: recomputed under capture and re-stored.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `compute` returns; errors are never cached.
+    pub fn get_or_compute<E>(
+        &self,
+        key: K,
+        compute: impl FnOnce() -> Result<V, E>,
+    ) -> Result<V, E> {
+        let enabled = nanocost_trace::is_enabled();
+        let found = {
+            let mut inner = self.lock();
+            let found = inner
+                .lru
+                .get(&key)
+                .filter(|(_, stored)| !enabled || stored.is_some());
+            if found.is_some() {
+                inner.hits += 1;
+            } else {
+                inner.misses += 1;
+            }
+            found
+        };
+        TALLY.with(|t| {
+            let (hits, misses) = t.get();
+            let hit = u64::from(found.is_some());
+            t.set((hits + hit, misses + 1 - hit));
+        });
+        (self.count)(found.is_some());
+        if let Some((value, stored)) = found {
+            if let Some(records) = &stored {
+                replay(records);
+            }
+            return Ok(value);
+        }
+        let (stored, result) = if enabled {
+            let (records, result) = with_capture(compute);
+            (Some(replay_of(&records)), result)
+        } else {
+            (None, compute())
+        };
+        let value = result?;
+        self.lock().lru.insert(key, value.clone(), stored);
+        Ok(value)
+    }
+
+    /// Snapshot of the lifetime hit/miss counters and occupancy — the
+    /// observability handle of the §4-style serving loop.
+    #[must_use]
+    pub fn stats(&self) -> CacheStats {
+        let inner = self.lock();
+        CacheStats {
+            hits: inner.hits,
+            misses: inner.misses,
+            entries: inner.lru.map.len(),
+            capacity: inner.lru.capacity,
+        }
+    }
+}
+
+/// Quantized identity of one eq.-4 query point.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct PointKey {
+    lambda: i64,
+    sd: i64,
+    transistors: i64,
+    volume: u64,
+    fab_yield: i64,
+    mask_cost: i64,
+}
+
+/// Quantized identity of one eq.-7 query point.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct GeneralizedKey {
+    lambda: i64,
+    sd: i64,
+    transistors: i64,
+    volume: u64,
+}
+
+/// Quantized identity of one §3.1 optimum search.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct OptimumKey {
+    lambda: i64,
+    transistors: i64,
+    volume: u64,
+    fab_yield: i64,
+    mask_cost: i64,
+    sd_lo: i64,
+    sd_hi: i64,
 }
 
 /// Aggregate hit/miss/occupancy counters for one [`ScenarioCache`].
@@ -308,14 +412,14 @@ pub struct CostQuery {
 
 impl CostQuery {
     fn key(&self) -> PointKey {
-        PointKey::new(
-            self.lambda,
-            self.sd,
-            self.transistors,
-            self.volume,
-            self.fab_yield,
-            self.mask_cost,
-        )
+        PointKey {
+            lambda: quantize(self.lambda.microns(), LAMBDA_QUANTUM_UM),
+            sd: quantize(self.sd.squares(), SD_QUANTUM),
+            transistors: quantize(self.transistors.count(), TRANSISTOR_QUANTUM),
+            volume: self.volume.count(),
+            fab_yield: quantize(self.fab_yield.value(), YIELD_QUANTUM),
+            mask_cost: quantize(self.mask_cost.amount(), DOLLARS_QUANTUM),
+        }
     }
 }
 
@@ -350,17 +454,30 @@ pub struct BatchResponse {
     pub stats: BatchStats,
 }
 
+/// Ticks the core cache's trace counters for one lookup.
+fn count(hit: bool) {
+    if hit {
+        counter!("core.cache.hit", 1);
+    } else {
+        counter!("core.cache.miss", 1);
+    }
+}
+
 /// A thread-safe memo of cost-model evaluations keyed on quantized
 /// inputs, with verbatim Eq.-provenance replay on hits.
 ///
 /// Wraps the three models the repeated queries of §3.1/§4 touch: the
 /// eq.-4 [`TotalCostModel`], the eq.-5 [`MaskCostModel`], and the
-/// eq.-7 [`GeneralizedCostModel`].
+/// eq.-7 [`GeneralizedCostModel`], with one [`ProvenanceMemo`] table
+/// per value family.
 pub struct ScenarioCache {
     model: TotalCostModel,
     mask_model: MaskCostModel,
     generalized: GeneralizedCostModel,
-    inner: Mutex<Inner>,
+    points: ProvenanceMemo<PointKey, CostBreakdown>,
+    masks: ProvenanceMemo<i64, Dollars>,
+    reports: ProvenanceMemo<GeneralizedKey, GeneralizedReport>,
+    optima: ProvenanceMemo<OptimumKey, DensityOptimum>,
 }
 
 impl std::fmt::Debug for ScenarioCache {
@@ -391,14 +508,10 @@ impl ScenarioCache {
             model,
             mask_model,
             generalized,
-            inner: Mutex::new(Inner {
-                points: Lru::new(capacity),
-                masks: Lru::new(capacity),
-                reports: Lru::new(capacity),
-                optima: Lru::new(capacity.min(OPTIMA_CAPACITY)),
-                hits: 0,
-                misses: 0,
-            }),
+            points: ProvenanceMemo::new(capacity, count),
+            masks: ProvenanceMemo::new(capacity, count),
+            reports: ProvenanceMemo::new(capacity, count),
+            optima: ProvenanceMemo::new(capacity.min(OPTIMA_CAPACITY), count),
         }
     }
 
@@ -421,26 +534,6 @@ impl ScenarioCache {
         &self.model
     }
 
-    /// The eq.-5 mask model this cache evaluates on misses.
-    #[must_use]
-    pub fn mask_model(&self) -> &MaskCostModel {
-        &self.mask_model
-    }
-
-    /// The eq.-7 generalized model this cache evaluates on misses.
-    #[must_use]
-    pub fn generalized_model(&self) -> &GeneralizedCostModel {
-        &self.generalized
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        // A poisoned lock only means another thread panicked mid-insert;
-        // the map itself is still structurally sound, so keep serving.
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     /// Eq.-4 transistor cost through the cache; identical in value and
     /// provenance to calling [`TotalCostModel::transistor_cost`].
     ///
@@ -458,7 +551,7 @@ impl ScenarioCache {
         fab_yield: Yield,
         mask_cost: Dollars,
     ) -> Result<CostBreakdown, UnitError> {
-        self.transistor_cost_traced(CostQuery {
+        self.point_cost(CostQuery {
             lambda,
             sd,
             transistors,
@@ -466,18 +559,19 @@ impl ScenarioCache {
             fab_yield,
             mask_cost,
         })
-        .map(|(value, _hit)| value)
     }
 
-    /// As [`ScenarioCache::transistor_cost`], also reporting whether
-    /// the eq.-4 point was served from the cache.
-    fn transistor_cost_traced(
-        &self,
-        q: CostQuery,
-    ) -> Result<(CostBreakdown, bool), UnitError> {
-        self.cached(q.key(), |inner| &mut inner.points, || {
-            self.model
-                .transistor_cost(q.lambda, q.sd, q.transistors, q.volume, q.fab_yield, q.mask_cost)
+    /// [`ScenarioCache::transistor_cost`] of one [`CostQuery`].
+    fn point_cost(&self, q: CostQuery) -> Result<CostBreakdown, UnitError> {
+        self.points.get_or_compute(q.key(), || {
+            self.model.transistor_cost(
+                q.lambda,
+                q.sd,
+                q.transistors,
+                q.volume,
+                q.fab_yield,
+                q.mask_cost,
+            )
         })
     }
 
@@ -486,14 +580,10 @@ impl ScenarioCache {
     #[must_use]
     pub fn mask_set_cost(&self, lambda: FeatureSize) -> Dollars {
         let key = quantize(lambda.microns(), LAMBDA_QUANTUM_UM);
-        let result: Result<_, std::convert::Infallible> =
-            self.cached(key, |inner| &mut inner.masks, || {
-                Ok(self.mask_model.mask_set_cost(lambda))
-            });
-        match result {
-            Ok((value, _hit)) => value,
-            Err(never) => match never {},
-        }
+        let Ok(value) = self.masks.get_or_compute(key, || {
+            Ok::<_, std::convert::Infallible>(self.mask_model.mask_set_cost(lambda))
+        });
+        value
     }
 
     /// Eq.-7 generalized evaluation through the cache — the yield
@@ -502,13 +592,15 @@ impl ScenarioCache {
     /// # Errors
     ///
     /// As [`GeneralizedCostModel::evaluate`]; errors are never cached.
-    pub fn evaluate_generalized(
-        &self,
-        point: DesignPoint,
-    ) -> Result<GeneralizedReport, UnitError> {
-        let key = GeneralizedKey::new(point);
-        self.cached(key, |inner| &mut inner.reports, || self.generalized.evaluate(point))
-            .map(|(value, _hit)| value)
+    pub fn evaluate_generalized(&self, point: DesignPoint) -> Result<GeneralizedReport, UnitError> {
+        let key = GeneralizedKey {
+            lambda: quantize(point.lambda.microns(), LAMBDA_QUANTUM_UM),
+            sd: quantize(point.sd.squares(), SD_QUANTUM),
+            transistors: quantize(point.transistors.count(), TRANSISTOR_QUANTUM),
+            volume: point.volume.count(),
+        };
+        self.reports
+            .get_or_compute(key, || self.generalized.evaluate(point))
     }
 
     /// §3.1 optimum search through the cache. A miss runs the full
@@ -539,7 +631,7 @@ impl ScenarioCache {
             sd_lo: quantize(sd_lo, SD_QUANTUM),
             sd_hi: quantize(sd_hi, SD_QUANTUM),
         };
-        self.cached(key, |inner| &mut inner.optima, || {
+        self.optima.get_or_compute(key, || {
             optimal_sd_total(
                 &self.model,
                 lambda,
@@ -551,7 +643,6 @@ impl ScenarioCache {
                 sd_hi,
             )
         })
-        .map(|(value, _hit)| value)
     }
 
     /// Evaluates a batch of eq.-4 queries in request order. Duplicate
@@ -565,107 +656,38 @@ impl ScenarioCache {
         for q in &request.queries {
             unique.insert(q.key());
         }
-        let mut stats = BatchStats {
-            requested: request.queries.len(),
-            unique: unique.len(),
-            hits: 0,
-            misses: 0,
-        };
+        let (hits, misses) = thread_tally();
         let results = request
             .queries
             .iter()
-            .map(|q| match self.transistor_cost_traced(*q) {
-                Ok((value, true)) => {
-                    stats.hits += 1;
-                    Ok(value)
-                }
-                Ok((value, false)) => {
-                    stats.misses += 1;
-                    Ok(value)
-                }
-                Err(e) => {
-                    stats.misses += 1;
-                    Err(e)
-                }
-            })
+            .map(|q| self.point_cost(*q))
             .collect();
+        let (hits_after, misses_after) = thread_tally();
+        let stats = BatchStats {
+            requested: request.queries.len(),
+            unique: unique.len(),
+            hits: hits_after - hits,
+            misses: misses_after - misses,
+        };
         BatchResponse { results, stats }
     }
 
-    /// Snapshot of the lifetime hit/miss counters and occupancy — the
-    /// observability handle the §4-style serving loop exports.
+    /// Snapshot of the lifetime hit/miss counters and occupancy,
+    /// summed over the four tables — the observability handle the
+    /// §4-style serving loop exports. `capacity` is the per-table one.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        let inner = self.lock();
-        CacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            entries: inner.points.len()
-                + inner.masks.len()
-                + inner.reports.len()
-                + inner.optima.len(),
-            capacity: inner.points.capacity,
+        let mut total = self.points.stats();
+        for table in [
+            self.masks.stats(),
+            self.reports.stats(),
+            self.optima.stats(),
+        ] {
+            total.hits += table.hits;
+            total.misses += table.misses;
+            total.entries += table.entries;
         }
-    }
-
-    /// Bumps the lifetime hit/miss counters and the corresponding
-    /// trace counters (outside the lock).
-    fn count(&self, hit: bool) {
-        let mut inner = self.lock();
-        if hit {
-            inner.hits += 1;
-            drop(inner);
-            counter!("core.cache.hit", 1);
-        } else {
-            inner.misses += 1;
-            drop(inner);
-            counter!("core.cache.miss", 1);
-        }
-    }
-
-    /// The one lookup-or-compute path every cached query goes through.
-    ///
-    /// With tracing enabled, a miss computes under [`with_capture`] and
-    /// stores the provenance for verbatim replay — even when the
-    /// capture is legitimately empty, which is distinct from "never
-    /// captured". With tracing disabled the capture is skipped (the
-    /// instrumentation stays on its free disabled path) and the entry
-    /// is stored replay-less (`None`). A hit on a replay-less entry
-    /// while tracing *is* enabled would silently drop provenance, so it
-    /// is treated as a miss: recomputed under capture and re-stored.
-    /// Errors are never cached.
-    fn cached<K, V, E>(
-        &self,
-        key: K,
-        table: fn(&mut Inner) -> &mut Lru<K, V>,
-        compute: impl FnOnce() -> Result<V, E>,
-    ) -> Result<(V, bool), E>
-    where
-        K: Eq + Hash + Copy,
-        V: Clone,
-    {
-        let enabled = nanocost_trace::is_enabled();
-        let found = table(&mut *self.lock()).get(&key);
-        if let Some((value, stored)) = found {
-            if !enabled || stored.is_some() {
-                self.count(true);
-                if let Some(records) = &stored {
-                    replay(records);
-                }
-                return Ok((value, true));
-            }
-            // Stored while tracing was off; recapture below.
-        }
-        self.count(false);
-        let (stored, result) = if enabled {
-            let (records, result) = with_capture(compute);
-            (Some(Arc::new(replay_of(&records))), result)
-        } else {
-            (None, compute())
-        };
-        let value = result?;
-        table(&mut *self.lock()).insert(key, value.clone(), stored);
-        Ok((value, false))
+        total
     }
 }
 
@@ -673,7 +695,132 @@ impl ScenarioCache {
 mod tests {
     use super::*;
     use nanocost_trace::export::{Exporter, JsonlExporter};
+    use nanocost_trace::provenance::Equation;
+    use nanocost_trace::value::Value;
     use nanocost_trace::with_collector;
+
+    /// Renders the provenance records to JSONL with the volatile
+    /// timestamp prefix stripped, for hit-vs-miss comparison.
+    fn rendered_provenance(records: &[nanocost_trace::record::Record]) -> Vec<String> {
+        let mut exporter = JsonlExporter::new();
+        records
+            .iter()
+            .filter(|r| matches!(r.kind, RecordKind::Provenance { .. }))
+            .map(|r| {
+                let line = exporter.render(r);
+                let tail = line.find(",\"thread\"").unwrap_or(0);
+                line[tail..].to_string()
+            })
+            .collect()
+    }
+
+    // The memo's own rules, independent of any model.
+
+    fn memo(capacity: usize) -> ProvenanceMemo<u32, u64> {
+        ProvenanceMemo::new(capacity, |_| {})
+    }
+
+    /// A model stand-in that emits one provenance record per call.
+    fn square(k: u32) -> Result<u64, UnitError> {
+        let v = u64::from(k) * u64::from(k);
+        provenance::emit(
+            Equation::Eq4,
+            "square",
+            vec![Field::new("k", Value::U64(u64::from(k)))],
+            vec![Field::new("v", Value::U64(v))],
+        );
+        Ok(v)
+    }
+
+    /// Runs one lookup; returns its result and whether it hit, read off
+    /// this thread's tally.
+    fn hit_of<T>(lookup: impl FnOnce() -> T) -> (T, bool) {
+        let (hits, _) = thread_tally();
+        let out = lookup();
+        (out, thread_tally().0 > hits)
+    }
+
+    fn hits_misses(memo: &ProvenanceMemo<u32, u64>) -> (u64, u64) {
+        let stats = memo.stats();
+        (stats.hits, stats.misses)
+    }
+
+    #[test]
+    fn memo_evicts_least_recently_used_first() {
+        let memo = memo(2);
+        let hit = |k| {
+            let (value, hit) = hit_of(|| memo.get_or_compute(k, || square(k)).unwrap());
+            assert_eq!(value, u64::from(k * k));
+            hit
+        };
+        // 200 is touched again before 400 arrives, so 300 is the least
+        // recently used entry and the one evicted; 200 survives.
+        let hits: Vec<bool> = [200, 300, 200, 400, 200, 300].map(hit).to_vec();
+        assert_eq!(hits, [false, false, true, false, true, false]);
+        assert_eq!(hits_misses(&memo), (2, 4));
+        assert_eq!(memo.stats().entries, 2);
+        assert_eq!(memo.stats().capacity, 2);
+    }
+
+    #[test]
+    fn memo_errors_are_not_cached() {
+        let memo = memo(4);
+        for _ in 0..2 {
+            let result = memo.get_or_compute(7, || Err(UnitError::NonFinite { quantity: "k" }));
+            assert!(result.is_err());
+        }
+        assert_eq!(hits_misses(&memo), (0, 2));
+        assert_eq!(memo.stats().entries, 0);
+    }
+
+    #[test]
+    fn memo_recaptures_entries_warmed_without_tracing() {
+        let memo = memo(4);
+        let calls = Cell::new(0);
+        let get = |k| {
+            hit_of(|| {
+                memo.get_or_compute(k, || {
+                    calls.set(calls.get() + 1);
+                    square(k)
+                })
+                .unwrap()
+            })
+        };
+        // No subscriber here: stored replay-less, no capture overhead.
+        let (cold, _) = get(444);
+        // The first traced lookup finds the replay-less entry and must
+        // recompute under capture (counted as a miss) rather than
+        // silently dropping the provenance.
+        let (first, (warm, hit)) = with_collector(|| get(444));
+        assert_eq!((cold, hit, calls.get()), (warm, false, 2));
+        let first = rendered_provenance(&first);
+        assert_eq!(
+            first.len(),
+            1,
+            "first traced lookup must recapture provenance"
+        );
+        // The second traced lookup replays the recaptured provenance.
+        let (second, (_, hit)) = with_collector(|| get(444));
+        assert!(hit);
+        assert_eq!(calls.get(), 2);
+        assert_eq!(first, rendered_provenance(&second));
+        assert_eq!(hits_misses(&memo), (1, 2));
+    }
+
+    #[test]
+    fn thread_tally_counts_this_threads_lookups_only() {
+        let memo = memo(4);
+        let (hits, misses) = thread_tally();
+        memo.get_or_compute(1, || square(1)).unwrap();
+        memo.get_or_compute(1, || square(1)).unwrap();
+        std::thread::scope(|scope| {
+            scope.spawn(|| memo.get_or_compute(2, || square(2)).unwrap());
+        });
+        assert_eq!(thread_tally(), (hits + 1, misses + 1));
+        assert_eq!(hits_misses(&memo), (1, 2));
+    }
+
+    // The scenario cache over the eq.-4/5/7 models.
 
     fn um(x: f64) -> FeatureSize {
         FeatureSize::from_microns(x).unwrap()
@@ -692,7 +839,14 @@ mod tests {
 
     fn eval(cache: &ScenarioCache, q: CostQuery) -> CostBreakdown {
         cache
-            .transistor_cost(q.lambda, q.sd, q.transistors, q.volume, q.fab_yield, q.mask_cost)
+            .transistor_cost(
+                q.lambda,
+                q.sd,
+                q.transistors,
+                q.volume,
+                q.fab_yield,
+                q.mask_cost,
+            )
             .unwrap()
     }
 
@@ -720,24 +874,6 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_least_recently_used_first() {
-        let cache = ScenarioCache::new(
-            TotalCostModel::paper_figure4(),
-            MaskCostModel::default(),
-            GeneralizedCostModel::nanometer_default(),
-            2,
-        );
-        eval(&cache, query(200.0)); // miss: {200}
-        eval(&cache, query(300.0)); // miss: {200, 300}
-        eval(&cache, query(200.0)); // hit; 300 is now LRU
-        eval(&cache, query(400.0)); // miss: evicts 300 -> {200, 400}
-        eval(&cache, query(200.0)); // hit (survived)
-        eval(&cache, query(300.0)); // miss (was evicted)
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (2, 4));
-    }
-
-    #[test]
     fn batch_deduplicates_overlapping_grid_points() {
         let cache = ScenarioCache::paper_figure4();
         let request = BatchRequest {
@@ -755,52 +891,12 @@ mod tests {
     }
 
     #[test]
-    fn errors_are_not_cached() {
-        let cache = ScenarioCache::paper_figure4();
-        let bad = CostQuery {
-            sd: DecompressionIndex::new(50.0).unwrap(), // below s_d0: eq. 6 domain error
-            ..query(300.0)
-        };
-        for _ in 0..2 {
-            assert!(cache
-                .transistor_cost(
-                    bad.lambda,
-                    bad.sd,
-                    bad.transistors,
-                    bad.volume,
-                    bad.fab_yield,
-                    bad.mask_cost
-                )
-                .is_err());
-        }
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (0, 2));
-    }
-
-    #[test]
     fn hits_replay_identical_provenance() {
         let cache = ScenarioCache::paper_figure4();
-        let render = |records: &[nanocost_trace::record::Record]| -> Vec<String> {
-            let mut exporter = JsonlExporter;
-            let mut out = Vec::new();
-            for r in records {
-                if !matches!(r.kind, RecordKind::Provenance { .. }) {
-                    continue;
-                }
-                let mut line = exporter.render(r);
-                // Timestamps differ between runs; provenance content
-                // must not.
-                if let Some(comma) = line.find(",\"thread\"") {
-                    line.replace_range(..comma, String::new().as_str());
-                }
-                out.push(line);
-            }
-            out
-        };
         let (miss_records, _) = with_collector(|| eval(&cache, query(333.0)));
         let (hit_records, _) = with_collector(|| eval(&cache, query(333.0)));
-        let miss = render(&miss_records);
-        let hit = render(&hit_records);
+        let miss = rendered_provenance(&miss_records);
+        let hit = rendered_provenance(&hit_records);
         assert!(!miss.is_empty(), "miss path must emit provenance");
         assert_eq!(miss, hit, "hit must replay the miss's provenance verbatim");
     }
@@ -815,11 +911,11 @@ mod tests {
         let (_, hits) = with_collector(|| {
             (0..3)
                 .map(|_| {
-                    let (_, hit) = cache
-                        .cached(-7_i64, |inner| &mut inner.masks, || {
+                    let (_, hit) = hit_of(|| {
+                        cache.masks.get_or_compute(-7_i64, || {
                             Ok::<_, std::convert::Infallible>(Dollars::ZERO)
                         })
-                        .unwrap();
+                    });
                     hit
                 })
                 .collect::<Vec<_>>()
@@ -827,31 +923,6 @@ mod tests {
         assert_eq!(hits, [false, true, true]);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (2, 1));
-    }
-
-    #[test]
-    fn entries_warmed_without_tracing_recapture_on_first_traced_hit() {
-        let cache = ScenarioCache::paper_figure4();
-        // No subscriber here: stored replay-less, no capture overhead.
-        let cold = eval(&cache, query(444.0));
-        // First traced lookup finds the replay-less entry and must
-        // recompute under capture (counted as a miss) rather than
-        // silently dropping the provenance.
-        let (first, warm) = with_collector(|| eval(&cache, query(444.0)));
-        assert_eq!(cold.total().amount().to_bits(), warm.total().amount().to_bits());
-        assert!(
-            first
-                .iter()
-                .any(|r| matches!(r.kind, RecordKind::Provenance { .. })),
-            "first traced lookup must recapture provenance"
-        );
-        // Second traced lookup replays the recaptured provenance.
-        let (second, _) = with_collector(|| eval(&cache, query(444.0)));
-        assert!(second
-            .iter()
-            .any(|r| matches!(r.kind, RecordKind::Provenance { .. })));
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 2));
     }
 
     #[test]
@@ -881,7 +952,10 @@ mod tests {
                 )
                 .unwrap();
             assert_eq!(cached.sd.to_bits(), direct.sd.to_bits());
-            assert_eq!(cached.cost.amount().to_bits(), direct.cost.amount().to_bits());
+            assert_eq!(
+                cached.cost.amount().to_bits(),
+                direct.cost.amount().to_bits()
+            );
         }
     }
 
@@ -907,9 +981,9 @@ mod tests {
             // A hot key, then a never-seen one churning through.
             optimum(1_000 + i % HOT);
             optimum(1_000_000 + i);
-            assert!(cache.lock().optima.len() <= OPTIMA_CAPACITY, "round {i}");
+            assert!(cache.optima.stats().entries <= OPTIMA_CAPACITY, "round {i}");
         }
-        assert_eq!(cache.lock().optima.len(), OPTIMA_CAPACITY);
+        assert_eq!(cache.optima.stats().entries, OPTIMA_CAPACITY);
         // Only the first lap of hot keys missed; every later one hit.
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (rounds - HOT, rounds + HOT));

@@ -52,9 +52,9 @@ mod tradeoff;
 
 pub use advisor::{advise_raw, DfmAdvisor, DfmReport, Recommendation};
 pub use cache::{
-    BatchRequest, BatchResponse, BatchStats, CacheStats, CostQuery, ScenarioCache,
-    DEFAULT_CAPACITY, DOLLARS_QUANTUM, LAMBDA_QUANTUM_UM, OPTIMA_CAPACITY, SD_QUANTUM,
-    TRANSISTOR_QUANTUM, YIELD_QUANTUM,
+    quantize, thread_tally, BatchRequest, BatchResponse, BatchStats, CacheStats, CostQuery,
+    ProvenanceMemo, ScenarioCache, DEFAULT_CAPACITY, DOLLARS_QUANTUM, LAMBDA_QUANTUM_UM,
+    OPTIMA_CAPACITY, SD_QUANTUM, TRANSISTOR_QUANTUM, YIELD_QUANTUM,
 };
 pub use generalized::{DesignPoint, GeneralizedCostModel, GeneralizedReport};
 pub use node_choice::{cheapest_node, node_sweep, NodeChoice};

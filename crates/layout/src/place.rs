@@ -196,14 +196,6 @@ impl Placement {
         demand
     }
 
-    /// The worst-channel demand — the track count the most congested
-    /// channel must carry, which sets the channel height a router needs
-    /// and hence part of the achieved `s_d`.
-    #[must_use]
-    pub fn peak_congestion(&self, netlist: &Netlist) -> u64 {
-        self.channel_demand(netlist).into_iter().max().unwrap_or(0)
-    }
-
     /// Routes every channel with the left-edge algorithm: each net claims
     /// its horizontal extent in every channel its vertical span crosses
     /// (and intra-row nets claim their adjacent channel). Returns the

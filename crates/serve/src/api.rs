@@ -14,7 +14,7 @@
 use std::time::Instant;
 
 use nanocost_chiplet::{AssemblyKind, ChipletScenario};
-use nanocost_core::{BatchRequest, CostQuery, ScenarioCache};
+use nanocost_core::{thread_tally, BatchRequest, CostQuery, ScenarioCache};
 use nanocost_core::{DesignPoint, GeneralizedReport};
 use nanocost_sentinel::json::{self, JsonValue};
 use nanocost_trace::span::Span;
@@ -70,19 +70,15 @@ impl From<UnitError> for ApiError {
 /// structured access-log record (when the server has an access log).
 #[must_use]
 pub fn handle(state: &ServerState, req: &Request) -> Response {
-    // The access-log delta spans both evaluation caches: a request hits
-    // exactly one of them, so the sums attribute its traffic correctly.
-    let before = state.cache().stats();
-    let before_chiplet = state.chiplet_cache().stats();
+    // The request runs on this thread, so the delta of this thread's
+    // lookup tally is exactly its own traffic across both caches.
+    let (hits_before, misses_before) = thread_tally();
     let started = Instant::now();
     let (endpoint, req_id, response) = route(state, req);
     let latency_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let after = state.cache().stats();
-    let after_chiplet = state.chiplet_cache().stats();
-    let hits = after.hits.saturating_sub(before.hits)
-        + after_chiplet.hits.saturating_sub(before_chiplet.hits);
-    let misses = after.misses.saturating_sub(before.misses)
-        + after_chiplet.misses.saturating_sub(before_chiplet.misses);
+    let (hits_after, misses_after) = thread_tally();
+    let hits = hits_after - hits_before;
+    let misses = misses_after - misses_before;
     state.log_access(
         req_id.as_deref().unwrap_or("-"),
         endpoint,

@@ -8,7 +8,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use nanocost_sentinel::json;
-use nanocost_serve::{Server, ServerConfig, ServerState, ServerStateConfig};
+use nanocost_serve::{handle, Request, Server, ServerConfig, ServerState, ServerStateConfig};
 
 const COST_BODY: &str =
     r#"{"lambda_um":0.18,"sd":300,"transistors":1e7,"volume":5000,"fab_yield":0.4}"#;
@@ -199,6 +199,68 @@ fn access_log_records_every_request_in_golden_field_order() {
     for line in log.lines() {
         nanocost_trace::json::validate(line).expect("access record is JSON");
     }
+}
+
+#[test]
+fn access_log_cache_columns_count_only_their_own_request() {
+    const THREADS: usize = 4;
+    const REQUESTS: usize = 500;
+    let path = std::env::temp_dir().join(format!(
+        "nanocost_access_log_concurrent_{}.jsonl",
+        std::process::id()
+    ));
+    let cfg = ServerStateConfig {
+        access_log: Some(path.to_string_lossy().into_owned()),
+        ..ServerStateConfig::default()
+    };
+    let state = ServerState::with_config(cfg).expect("valid config");
+    // Workers sharing one state, as the server's pool does, released
+    // together; the points overlap across threads, so hits and misses
+    // interleave.
+    let start = std::sync::Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (state, start) = (&state, &start);
+            scope.spawn(move || {
+                start.wait();
+                for i in 0..REQUESTS {
+                    let sd = 200 + (t * REQUESTS + i) % 97;
+                    let body = format!(
+                        r#"{{"lambda_um":0.18,"sd":{sd},"transistors":1e7,"volume":5000,"fab_yield":0.4}}"#
+                    );
+                    let req = Request {
+                        method: "POST".to_string(),
+                        path: "/v1/cost".to_string(),
+                        version: "HTTP/1.1".to_string(),
+                        headers: Vec::new(),
+                        body: body.into_bytes(),
+                    };
+                    assert_eq!(handle(state, &req).status, 200);
+                }
+            });
+        }
+    });
+    let log = std::fs::read_to_string(&path).expect("access log written");
+    let _ = std::fs::remove_file(&path);
+
+    let field = |doc: &json::JsonValue, name: &str| {
+        doc.get(name)
+            .and_then(json::JsonValue::as_u64)
+            .expect("cache column")
+    };
+    let mut records = 0;
+    for line in log.lines() {
+        let doc = json::parse(line).expect("access record is JSON");
+        // A cost request performs exactly two lookups (mask-set cost and
+        // the breakdown), whatever the other workers do meanwhile.
+        assert_eq!(
+            field(&doc, "cache_hits") + field(&doc, "cache_misses"),
+            2,
+            "record counts another request's lookups: {line}"
+        );
+        records += 1;
+    }
+    assert_eq!(records, THREADS * REQUESTS);
 }
 
 #[test]

@@ -91,20 +91,6 @@ impl LearningCurve {
             + (self.initial.value() - self.mature.value()) * (-v / self.learning_volume).exp();
         DefectDensity::per_cm2(d).expect("interpolation of valid densities is valid") // nanocost-audit: allow(R1, reason = "documented invariant: interpolation of valid densities is valid")
     }
-
-    /// The floor the curve learns toward — the mature-process limit of
-    /// eq. 7's `Y`.
-    #[must_use]
-    pub fn mature_density(&self) -> DefectDensity {
-        self.mature
-    }
-
-    /// The day-one density — the immature end of the paper's
-    /// yield-learning story.
-    #[must_use]
-    pub fn initial_density(&self) -> DefectDensity {
-        self.initial
-    }
 }
 
 /// Volume-driven systematic-yield ramp:
