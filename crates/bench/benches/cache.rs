@@ -1,15 +1,16 @@
 //! Criterion bench: the provenance memo behind `ScenarioCache` and
 //! `ChipletCache`, one lookup at a time. An untraced eq.-4 hit, an
-//! eq.-4 miss that evicts (a capacity-1 cache alternating two `s_d`,
-//! the path a grid sweep larger than the cache takes), a traced §3.1
-//! optimum hit that replays its whole search's provenance into a
-//! collector, and an untraced SiP hit.
+//! eq.-4 miss that evicts (a capacity-1 cache alternating two `s_d`),
+//! the same miss-and-evict from a full default-capacity table (the path
+//! a grid sweep larger than the cache takes), a traced §3.1 optimum hit
+//! that replays its whole search's provenance into a collector, and an
+//! untraced SiP hit.
 
 use std::hint::black_box;
 
 use nanocost_bench::harness::{criterion_group, criterion_main, Criterion};
 use nanocost_chiplet::{AssemblyKind, ChipletCache, ChipletScenario};
-use nanocost_core::{GeneralizedCostModel, ScenarioCache, TotalCostModel};
+use nanocost_core::{GeneralizedCostModel, ScenarioCache, TotalCostModel, DEFAULT_CAPACITY};
 use nanocost_fab::MaskCostModel;
 use nanocost_trace::with_collector;
 use nanocost_units::{
@@ -48,6 +49,25 @@ fn bench_cache(c: &mut Criterion) {
             black_box(point(&tiny, if flip { 300.0 } else { 400.0 }))
         })
     });
+
+    // A full table cycled through twice as many distinct `s_d` as it
+    // holds: each lookup misses, runs eq. 4 and evicts the oldest entry.
+    let full = ScenarioCache::paper_figure4();
+    let lap = 2 * DEFAULT_CAPACITY;
+    let sd_of = |i: usize| 200.0 + 0.01 * i as f64;
+    for i in 0..DEFAULT_CAPACITY {
+        point(&full, sd_of(i));
+    }
+    let mut next = DEFAULT_CAPACITY;
+    c.bench_function("cache/point_miss_evict", |b| {
+        b.iter(|| {
+            let s = sd_of(next);
+            next = (next + 1) % lap;
+            black_box(point(&full, s))
+        })
+    });
+    let stats = full.stats();
+    assert_eq!((stats.hits, stats.entries), (0, DEFAULT_CAPACITY));
 
     let optimum = || {
         warm.optimal_sd(

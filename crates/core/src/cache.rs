@@ -87,51 +87,85 @@ pub fn quantize(x: f64, quantum: f64) -> i64 {
     }
 }
 
-/// One stored provenance record, replayed verbatim on every cache hit
-/// so hit and miss paths are indistinguishable to the eq.-fingerprint
-/// pipeline.
-#[derive(Debug, Clone)]
+/// One stored provenance record. Its inputs and then its outputs are
+/// the next `inputs + outputs` entries of the owning [`Replay`]'s
+/// `fields`.
+#[derive(Debug)]
 struct ReplayRecord {
     equation: nanocost_trace::provenance::Equation,
     function: &'static str,
-    inputs: Vec<Field>,
-    outputs: Vec<Field>,
+    inputs: usize,
+    outputs: usize,
 }
 
-/// Extracts the provenance records from a capture frame.
-fn replay_of(records: &[nanocost_trace::record::Record]) -> Arc<[ReplayRecord]> {
-    records
-        .iter()
-        .filter_map(|r| match &r.kind {
-            RecordKind::Provenance {
+/// A capture's provenance stream, replayed verbatim on every cache hit
+/// so hit and miss paths are indistinguishable to the eq.-fingerprint
+/// pipeline. Every record's fields sit back to back in one buffer, so a
+/// replay of an ~850-record optimum search reads one allocation rather
+/// than ~1700 scattered ones.
+#[derive(Debug)]
+struct Replay {
+    records: Vec<ReplayRecord>,
+    fields: Vec<Field>,
+}
+
+/// Moves the provenance records out of a capture frame.
+fn replay_of(records: Vec<nanocost_trace::record::Record>) -> Replay {
+    let (mut n_records, mut n_fields) = (0, 0);
+    for r in &records {
+        if let RecordKind::Provenance {
+            inputs, outputs, ..
+        } = &r.kind
+        {
+            n_records += 1;
+            n_fields += inputs.len() + outputs.len();
+        }
+    }
+    let mut replay = Replay {
+        records: Vec::with_capacity(n_records),
+        fields: Vec::with_capacity(n_fields),
+    };
+    for r in records {
+        if let RecordKind::Provenance {
+            equation,
+            function,
+            inputs,
+            outputs,
+            ..
+        } = r.kind
+        {
+            replay.records.push(ReplayRecord {
                 equation,
                 function,
-                inputs,
-                outputs,
-                ..
-            } => Some(ReplayRecord {
-                equation: *equation,
-                function,
-                inputs: inputs.clone(),
-                outputs: outputs.clone(),
-            }),
-            _ => None,
-        })
-        .collect()
+                inputs: inputs.len(),
+                outputs: outputs.len(),
+            });
+            replay.fields.extend(inputs);
+            replay.fields.extend(outputs);
+        }
+    }
+    replay
 }
 
 /// Re-emits stored provenance (cheap no-op when tracing is disabled).
-fn replay(replay: &[ReplayRecord]) {
+fn replay(replay: &Replay) {
     if !nanocost_trace::is_enabled() {
         return;
     }
-    for r in replay {
-        provenance::emit(r.equation, r.function, r.inputs.clone(), r.outputs.clone());
+    let mut rest = replay.fields.as_slice();
+    for r in &replay.records {
+        let (inputs, tail) = rest.split_at(r.inputs);
+        let (outputs, tail) = tail.split_at(r.outputs);
+        rest = tail;
+        provenance::emit(r.equation, r.function, inputs.to_vec(), outputs.to_vec());
     }
 }
 
-struct LruEntry<V> {
-    stamp: u64,
+/// The "no neighbour" link at either end of the recency list.
+const NIL: usize = usize::MAX;
+
+struct Slot<K, V> {
+    key: K,
     value: V,
     // Shared so a hit hands back the replay by refcount bump instead of
     // deep-cloning what can be an ~850-record optimum-search stream.
@@ -139,57 +173,113 @@ struct LruEntry<V> {
     // computation that emitted zero provenance stores `Some(empty)`,
     // which still counts as captured — the two must not share a
     // sentinel or such entries would recompute on every traced lookup.
-    replay: Option<Arc<[ReplayRecord]>>,
+    replay: Option<Arc<Replay>>,
+    /// The next more recently used slot (`NIL` at the head).
+    prev: usize,
+    /// The next less recently used slot (`NIL` at the tail).
+    next: usize,
 }
 
-/// A small LRU map: recency is a monotone stamp, eviction scans for
-/// the minimum. O(capacity) eviction is deliberate — capacities are a
-/// few thousand entries and the scan is branch-predictable, so this
-/// beats a linked-list LRU without any unsafe code.
+/// An exact LRU map whose `get`, `insert` and eviction are each O(1).
+///
+/// Entries live in a slab `Vec`, linked by index into a recency list
+/// (head = most recently used, tail = least), and `index` maps a key
+/// to its slot. The slab only grows, up to `capacity`; once full, a
+/// new key takes over the tail's slot in place. Links are slab indices
+/// rather than pointers.
 struct Lru<K, V> {
-    map: HashMap<K, LruEntry<V>>,
+    slots: Vec<Slot<K, V>>,
+    index: HashMap<K, usize>,
+    head: usize,
+    tail: usize,
     capacity: usize,
-    clock: u64,
 }
 
 impl<K: Eq + Hash + Copy, V: Clone> Lru<K, V> {
     fn new(capacity: usize) -> Self {
         Lru {
-            map: HashMap::new(),
+            slots: Vec::new(),
+            index: HashMap::new(),
+            head: NIL,
+            tail: NIL,
             capacity: capacity.max(1),
-            clock: 0,
         }
     }
 
-    fn get(&mut self, key: &K) -> Option<(V, Option<Arc<[ReplayRecord]>>)> {
-        self.clock += 1;
-        let clock = self.clock;
-        self.map.get_mut(key).map(|e| {
-            e.stamp = clock;
-            (e.value.clone(), e.replay.clone())
-        })
+    fn len(&self) -> usize {
+        self.slots.len()
     }
 
-    fn insert(&mut self, key: K, value: V, replay: Option<Arc<[ReplayRecord]>>) {
-        self.clock += 1;
-        if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
-            if let Some(oldest) = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| *k)
-            {
-                self.map.remove(&oldest);
-            }
+    fn unlink(&mut self, i: usize) {
+        let (prev, next) = (self.slots[i].prev, self.slots[i].next);
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p].next = next,
         }
-        self.map.insert(
-            key,
-            LruEntry {
-                stamp: self.clock,
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n].prev = prev,
+        }
+    }
+
+    fn push_front(&mut self, i: usize) {
+        self.slots[i].prev = NIL;
+        self.slots[i].next = self.head;
+        match self.head {
+            NIL => self.tail = i,
+            h => self.slots[h].prev = i,
+        }
+        self.head = i;
+    }
+
+    /// Marks slot `i` most recently used.
+    fn touch(&mut self, i: usize) {
+        if self.head != i {
+            self.unlink(i);
+            self.push_front(i);
+        }
+    }
+
+    fn get(&mut self, key: &K) -> Option<(V, Option<Arc<Replay>>)> {
+        let i = *self.index.get(key)?;
+        self.touch(i);
+        let slot = &self.slots[i];
+        Some((slot.value.clone(), slot.replay.clone()))
+    }
+
+    /// Stores `key` as the most recently used entry, replacing its value
+    /// in place if present. Returns the key evicted to make room, if any.
+    fn insert(&mut self, key: K, value: V, replay: Option<Arc<Replay>>) -> Option<K> {
+        if let Some(&i) = self.index.get(&key) {
+            let slot = &mut self.slots[i];
+            slot.value = value;
+            slot.replay = replay;
+            self.touch(i);
+            return None;
+        }
+        if self.slots.len() < self.capacity {
+            let i = self.slots.len();
+            self.slots.push(Slot {
+                key,
                 value,
                 replay,
-            },
-        );
+                prev: NIL,
+                next: NIL,
+            });
+            self.index.insert(key, i);
+            self.push_front(i);
+            return None;
+        }
+        let i = self.tail;
+        let evicted = self.slots[i].key;
+        self.index.remove(&evicted);
+        self.index.insert(key, i);
+        let slot = &mut self.slots[i];
+        slot.key = key;
+        slot.value = value;
+        slot.replay = replay;
+        self.touch(i);
+        Some(evicted)
     }
 }
 
@@ -311,7 +401,7 @@ impl<K: Eq + Hash + Copy, V: Clone> ProvenanceMemo<K, V> {
         }
         let (stored, result) = if enabled {
             let (records, result) = with_capture(compute);
-            (Some(replay_of(&records)), result)
+            (Some(Arc::new(replay_of(records))), result)
         } else {
             (None, compute())
         };
@@ -328,7 +418,7 @@ impl<K: Eq + Hash + Copy, V: Clone> ProvenanceMemo<K, V> {
         CacheStats {
             hits: inner.hits,
             misses: inner.misses,
-            entries: inner.lru.map.len(),
+            entries: inner.lru.len(),
             capacity: inner.lru.capacity,
         }
     }
@@ -700,7 +790,7 @@ mod tests {
     use nanocost_trace::with_collector;
 
     /// Renders the provenance records to JSONL with the volatile
-    /// timestamp prefix stripped, for hit-vs-miss comparison.
+    /// `ts_us` prefix stripped, for hit-vs-miss comparison.
     fn rendered_provenance(records: &[nanocost_trace::record::Record]) -> Vec<String> {
         let mut exporter = JsonlExporter::new();
         records
@@ -805,6 +895,88 @@ mod tests {
         assert_eq!(calls.get(), 2);
         assert_eq!(first, rendered_provenance(&second));
         assert_eq!(hits_misses(&memo), (1, 2));
+    }
+
+    #[test]
+    fn memo_recapture_restores_in_place_without_evicting() {
+        let memo = memo(2);
+        let get = |k| hit_of(|| memo.get_or_compute(k, || square(k)).expect("infallible")).1;
+        assert_eq!([get(1), get(2)], [false, false]);
+        // The traced lookup of the replay-less entry 1 recomputes and
+        // re-stores 1 while the table is full; that must overwrite 1,
+        // not evict its neighbour 2.
+        let (_, recaptured) = with_collector(|| get(1));
+        assert!(!recaptured);
+        assert!(get(2), "the re-store evicted a neighbour");
+        assert_eq!(memo.stats().entries, 2);
+    }
+
+    /// The keys of `lru` from most to least recently used, read by
+    /// walking its links.
+    fn recency(lru: &Lru<u64, u64>) -> Vec<u64> {
+        let mut keys = Vec::new();
+        let mut i = lru.head;
+        while i != NIL {
+            keys.push(lru.slots[i].key);
+            i = lru.slots[i].next;
+        }
+        keys
+    }
+
+    #[test]
+    fn lru_matches_a_naive_recency_list() {
+        use nanocost_numeric::Rng64;
+        for (seed, capacity) in [(11, 1), (12, 2), (13, 7), (14, 64)] {
+            let mut rng = Rng64::seed_from_u64(seed);
+            let mut lru = Lru::new(capacity);
+            // The reference: `(key, value)` in recency order, least
+            // recently used first, so eviction takes the front.
+            let mut naive: Vec<(u64, u64)> = Vec::new();
+            let (mut fresh, mut hits, mut evictions) = (0_u64, 0, 0);
+            for op in 0..20_000_u64 {
+                let what = format!("capacity {capacity}, op {op}");
+                let draw = rng.next_u64();
+                match draw % 3 {
+                    // `get` of one of the last 2·capacity fresh keys,
+                    // evicted or not, or of a key never stored.
+                    0 => {
+                        let key = fresh.saturating_sub(rng.next_u64() % (2 * capacity as u64 + 1));
+                        let expected = naive.iter().position(|&(k, _)| k == key).map(|at| {
+                            let entry = naive.remove(at);
+                            naive.push(entry);
+                            entry.1
+                        });
+                        assert_eq!(lru.get(&key).map(|(value, _)| value), expected, "{what}");
+                        hits += usize::from(expected.is_some());
+                    }
+                    // Re-`insert` of a present key: a new value in
+                    // place, no eviction.
+                    1 if !naive.is_empty() => {
+                        let at = (draw / 3 % naive.len() as u64) as usize;
+                        let (key, _) = naive.remove(at);
+                        naive.push((key, op));
+                        assert_eq!(lru.insert(key, op, None), None, "{what}");
+                    }
+                    // `insert` of a key never stored before.
+                    _ => {
+                        fresh += 1;
+                        let evicted = (naive.len() == capacity).then(|| naive.remove(0).0);
+                        evictions += usize::from(evicted.is_some());
+                        naive.push((fresh, op));
+                        assert_eq!(lru.insert(fresh, op, None), evicted, "{what}");
+                    }
+                }
+                assert_eq!(lru.len(), naive.len(), "{what}");
+                assert!(lru.len() <= capacity, "{what}");
+                assert_eq!(lru.index.len(), lru.len(), "{what}");
+                let order: Vec<u64> = naive.iter().rev().map(|&(k, _)| k).collect();
+                assert_eq!(recency(&lru), order, "{what}");
+            }
+            assert!(
+                hits > 1_000 && evictions > 1_000,
+                "capacity {capacity}: {hits} hits, {evictions} evictions"
+            );
+        }
     }
 
     #[test]

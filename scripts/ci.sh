@@ -315,6 +315,11 @@ perf_regressions() {
         | awk '$NF == "regressed" {print $1}' || true
 }
 
+echo "==> bench compile: cargo bench --no-run"
+# `cargo test --workspace` never builds benches/*.rs, so compile them
+# here, whether or not the perf gate below runs them.
+cargo bench -q -p nanocost-bench --no-run
+
 if [[ "${NANOCOST_SKIP_PERF_GATE:-0}" != "1" ]]; then
     echo "==> perf gate: bench capture vs BENCH_baseline.json"
     # Shared-runner noise swamps small shifts (single benchmarks are
